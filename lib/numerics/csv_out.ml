@@ -14,11 +14,7 @@ let escape_field s =
   end
   else s
 
-let float_cell x =
-  let s = Printf.sprintf "%g" x in
-  match float_of_string_opt s with
-  | Some y when Float.equal y x -> s
-  | Some _ | None -> Printf.sprintf "%.17g" x
+let float_cell = Xfloat.to_string
 
 let write ~path ~header ~rows =
   let arity = List.length header in

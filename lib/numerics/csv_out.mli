@@ -14,4 +14,4 @@ val write : path:string -> header:string list -> rows:string list list -> unit
     @raise Invalid_argument on an arity mismatch. *)
 
 val float_cell : float -> string
-(** Full-precision float formatting ([%.17g]-trimmed). *)
+(** {!Xfloat.to_string}: [%g] when it round-trips, else [%.17g]. *)

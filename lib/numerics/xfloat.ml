@@ -24,8 +24,14 @@ let log_pow b e =
 let pow b e = exp (log_pow b e)
 let sum xs = List.fold_left ( +. ) 0. xs
 
-let pp ppf x =
-  let s = Printf.sprintf "%g" x in
-  match float_of_string_opt s with
-  | Some y when Float.equal y x -> Format.pp_print_string ppf s
-  | Some _ | None -> Format.fprintf ppf "%.17g" x
+(* [Printf]'s [%g] and [%.17g] end in this C primitive; calling it
+   directly gives the same bytes without interpreting a format. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let to_string x =
+  let short = format_float "%.6g" x in
+  match float_of_string_opt short with
+  | Some y when Float.equal y x -> short
+  | Some _ | None -> format_float "%.17g" x
+
+let pp ppf x = Format.pp_print_string ppf (to_string x)

@@ -39,6 +39,11 @@ val pow : float -> float -> float
 val sum : float list -> float
 (** Naive left-to-right sum; see {!Kahan} for the compensated variant. *)
 
+val to_string : float -> string
+(** The shortest of [%g] and [%.17g] that reads back as the same float:
+    [%g] when it round-trips, else [%.17g].  The bytes equal
+    [Printf.sprintf] of those formats, including ["inf"], ["-inf"] and
+    ["nan"], without going through [Printf]. *)
+
 val pp : Format.formatter -> float -> unit
-(** Prints with enough digits to round-trip ([%.17g] trimmed to [%g] when
-    exact). *)
+(** Prints {!to_string}. *)

@@ -80,11 +80,8 @@ let eval_bound t meter ~m ~k ~f =
               Some (FS.Formulas.alpha_star ~q:(FS.Params.q p) ~k)
           | FS.Params.Ratio_one | FS.Params.Unsolvable -> None
         in
-        {
-          Protocol.bound = FS.Formulas.of_params p;
-          regime = regime_string regime;
-          alpha_star;
-        })
+        Protocol.bound_payload ~bound:(FS.Formulas.of_params p)
+          ~regime:(regime_string regime) ~alpha_star)
   in
   Protocol.Bound_ok payload
 

@@ -12,6 +12,7 @@ type bound_payload = {
   bound : float;
   regime : string;
   alpha_star : float option;
+  wire : string;
 }
 
 type cache_stats = {
@@ -177,17 +178,26 @@ let pool_stats_of_json j =
   let* pending = int_field "pending" j in
   Ok { jobs; submitted; settled; pending }
 
+let bound_to_json ~bound ~regime ~alpha_star =
+  Json.Assoc
+    [
+      ("tag", Json.String "bound"); ("bound", float_to_json bound);
+      ("regime", Json.String regime);
+      ( "alpha_star",
+        match alpha_star with Some a -> float_to_json a | None -> Json.Null );
+    ]
+
+let bound_payload ~bound ~regime ~alpha_star =
+  {
+    bound;
+    regime;
+    alpha_star;
+    wire = Json.to_string (bound_to_json ~bound ~regime ~alpha_star);
+  }
+
 let response_to_json = function
-  | Bound_ok { bound; regime; alpha_star } ->
-      Json.Assoc
-        [
-          ("tag", Json.String "bound"); ("bound", float_to_json bound);
-          ("regime", Json.String regime);
-          ( "alpha_star",
-            match alpha_star with
-            | Some a -> float_to_json a
-            | None -> Json.Null );
-        ]
+  | Bound_ok { bound; regime; alpha_star; wire = _ } ->
+      bound_to_json ~bound ~regime ~alpha_star
   | Certify_ok { verdict; detail; bound } ->
       Json.Assoc
         [
@@ -239,7 +249,7 @@ let response_of_json j =
             | Some a -> Ok (Some a)
             | None -> Error "non-numeric field \"alpha_star\"")
       in
-      Ok (Bound_ok { bound; regime; alpha_star })
+      Ok (Bound_ok (bound_payload ~bound ~regime ~alpha_star))
   | "certify" ->
       let* verdict = string_field "verdict" j in
       let* detail = string_field "detail" j in
@@ -315,9 +325,19 @@ let decode_request s =
               | Some id -> Ok (id, req)
               | None -> Error (None, "missing or non-integer field \"id\""))))
 
+(* the bytes of [Json.to_string (Assoc [("id", id); ("resp", body)])],
+   spliced so a cached [Bound_ok] reuses its rendering *)
 let encode_response ~id resp =
-  Json.to_string
-    (Json.Assoc [ ("id", int_j id); ("resp", response_to_json resp) ])
+  let body =
+    match resp with
+    | Bound_ok p -> p.wire
+    | Certify_ok _ | Sweep_ok _ | Simulate_ok _ | Stats_ok _ | Overloaded _
+    | Failed _ ->
+        Json.to_string (response_to_json resp)
+  in
+  String.concat ""
+    [ {|{"id":|}; Json.number_to_string (float_of_int id); {|,"resp":|}; body;
+      "}" ]
 
 let decode_response s =
   match Json.of_string s with

@@ -42,11 +42,18 @@ type request =
 
 (** {1 Responses} *)
 
-type bound_payload = {
+type bound_payload = private {
   bound : float;  (** [A(m, k, f)]; [infinity] when unsolvable *)
   regime : string;  (** ["searching" | "ratio-one" | "unsolvable"] *)
   alpha_star : float option;  (** optimal base, searching regime only *)
+  wire : string;
+      (** the compact JSON of [response_to_json (Bound_ok p)], rendered
+          once so every cache hit reuses it *)
 }
+
+val bound_payload :
+  bound:float -> regime:string -> alpha_star:float option -> bound_payload
+(** The only way to build a payload: fills [wire] from the other fields. *)
 
 type cache_stats = {
   hits : int;
@@ -107,6 +114,8 @@ val decode_request : string -> (int * request, int option * string) result
     response. *)
 
 val encode_response : id:int -> response -> string
+(** The envelope [{ "id": I, "resp": ... }] as compact JSON (unframed);
+    a [Bound_ok] body is its payload's [wire] string. *)
 
 val decode_response : string -> (int * response, string) result
 

@@ -104,8 +104,9 @@ let[@nonblocking] write_conn ops c =
    daemon instantiates it at [Unix.file_descr], the deterministic
    simulator at its fake-socket handles.  Connections live in a small
    list keyed by [equal_fd] — connection counts are bounded by the
-   process fd limit and each cycle's work is dominated by JSON
-   evaluation, so linear lookup is immaterial. *)
+   process fd limit and a cycle's work (decode, dispatch, encode, the
+   syscalls) dwarfs a scan of a few entries, so linear lookup is
+   immaterial. *)
 let[@event_loop] serve : type fd.
     fd Runtime.ops -> config -> dispatch:Dispatch.t -> stop:bool Atomic.t -> unit
     =

@@ -508,6 +508,14 @@ let test_json_parse_basics () =
   ok "null" Json.Null;
   ok " true " (Json.Bool true);
   ok "-2.5e2" (Json.Number (-250.));
+  (* integer literals on both sides of the 15-digit fast path *)
+  ok "-007" (Json.Number (-7.));
+  ok "999999999999999" (Json.Number 999999999999999.);
+  ok "-9007199254740993" (Json.Number (-9007199254740992.));
+  ok "9999999999999999999" (Json.Number 1e19);
+  (match Json.of_string "-0" with
+  | Ok (Json.Number z) -> check_bool "-0 keeps its sign" true (Float.sign_bit z)
+  | _ -> Alcotest.fail "-0 did not parse");
   ok "\"hi\"" (Json.String "hi");
   ok "[]" (Json.List []);
   ok "{}" (Json.Assoc []);
@@ -547,6 +555,141 @@ let test_json_accessors () =
   check_bool "to_int" true (Json.to_int (Json.Number 3.) = Some 3);
   check_bool "to_int non-integral" true (Json.to_int (Json.Number 3.5) = None);
   check_bool "to_bool" true (Json.to_bool (Json.Bool true) = Some true)
+
+(* every error message and offset is part of the interface: the serve
+   daemon forwards them to clients inside its invalid-input errors *)
+let test_json_error_corpus () =
+  List.iter
+    (fun (doc, want) ->
+      match Json.of_string doc with
+      | Ok _ -> Alcotest.failf "accepted %S" doc
+      | Error got -> Alcotest.(check string) (Printf.sprintf "%S" doc) want got)
+    [
+      ("", "at offset 0: unexpected end of input");
+      ("   ", "at offset 3: unexpected end of input");
+      (" \n\t", "at offset 3: unexpected end of input");
+      ("[1,", "at offset 3: unexpected end of input");
+      ("[1 2]", "at offset 3: expected ',' or ']'");
+      ("{\"a\" 1}", "at offset 5: expected ':', got '1'");
+      ("{\"a\":1", "at offset 6: expected ',' or '}'");
+      ("{\"a\":1,}", "at offset 7: expected '\"', got '}'");
+      ("{a:1}", "at offset 1: expected '\"', got 'a'");
+      ("{\"a\":}", "at offset 5: unexpected character '}'");
+      ("tru", "at offset 3: expected 'e', got end of input");
+      ("trux", "at offset 3: expected 'e', got 'x'");
+      ("nul", "at offset 3: expected 'l', got end of input");
+      ("fals", "at offset 4: expected 'e', got end of input");
+      ("1 2", "at offset 2: trailing garbage");
+      ("\"unterminated", "at offset 13: unterminated string");
+      ("\"bad \\x escape\"", "at offset 6: bad escape '\\x'");
+      ("\"trunc\\", "at offset 7: truncated escape");
+      ("\"\\u12\"", "at offset 3: truncated \\u escape");
+      ("\"\\u\"", "at offset 3: truncated \\u escape");
+      ("\"\\u00zz\"", "at offset 3: bad \\u escape");
+      ("\"\\uG000\"", "at offset 3: bad \\u escape");
+      ("-", "at offset 1: bad number literal \"-\"");
+      ("1.2.3", "at offset 5: bad number literal \"1.2.3\"");
+      ("1e", "at offset 2: bad number literal \"1e\"");
+      ("--1", "at offset 3: bad number literal \"--1\"");
+      ("1+2", "at offset 3: bad number literal \"1+2\"");
+      ("0x10", "at offset 1: trailing garbage");
+      ("@", "at offset 0: unexpected character '@'");
+      ("[1,]", "at offset 3: unexpected character ']'");
+      ("{\"a\":1}}", "at offset 7: trailing garbage");
+      ("[\"a\" \"b\"]", "at offset 5: expected ',' or ']'");
+      ("[[[[", "at offset 4: unexpected end of input");
+      ("\255", "at offset 0: unexpected character '\255'");
+      ("nan", "at offset 1: expected 'u', got 'a'");
+      ("Infinity", "at offset 0: unexpected character 'I'");
+      (".5", "at offset 0: unexpected character '.'");
+      ("+1", "at offset 0: unexpected character '+'");
+      ( "{\"id\":7,\"req\":{\"op\":\"bound\",\"m\":2,\"k\":3,\"f\":1}",
+        "at offset 46: expected ',' or '}'" );
+      ("{\"id\":7 \"req\":{}}", "at offset 8: expected ',' or '}'");
+      ("[\"a\\nb\",tr]", "at offset 10: expected 'u', got ']'");
+      ( "{\"k\":\"v\",\"k2\":[1,{\"x\":nulL}]}",
+        "at offset 25: expected 'l', got 'L'" );
+    ]
+
+(* a \u escape is exactly four hex digits: OCaml's own integer syntax
+   (underscores) must not leak in *)
+let test_json_unicode_escape_is_four_hex_digits () =
+  List.iter
+    (fun doc ->
+      match Json.of_string doc with
+      | Ok _ -> Alcotest.failf "accepted %S" doc
+      | Error got ->
+          Alcotest.(check string) doc "at offset 3: bad \\u escape" got)
+    [ {|"\u0_41"|}; {|"\u004_"|}; {|"\u_041"|}; {|"\u00_4"|} ];
+  match Json.of_string {|"\u0041\u00E9\uabcd"|} with
+  | Ok (Json.String s) ->
+      Alcotest.(check string) "both cases of hex" "A\xc3\xa9\xea\xaf\x8d" s
+  | _ -> Alcotest.fail "four-digit escapes rejected"
+
+(* [int_of_float] wraps: 1e300 used to read as 0, 1e19 as a negative
+   number.  Only [-2^62, 2^62) is an [int]. *)
+let test_json_to_int_range () =
+  let check name want x =
+    Alcotest.(check (option int)) name want (Json.to_int (Json.Number x))
+  in
+  check "1e300" None 1e300;
+  check "-1e300" None (-1e300);
+  check "1e19" None 1e19;
+  check "2^62" None 0x1p62;
+  check "-2^62 is min_int" (Some min_int) (-0x1p62);
+  check "largest float below 2^62" (Some (max_int - 511)) (Float.pred 0x1p62);
+  check "-0" (Some 0) (-0.);
+  check "nan" None nan;
+  check "inf" None infinity
+
+(* ------------------------------------------------------------------ *)
+(* the one float renderer, against the Printf formulation it replaced *)
+
+let printf_shortest x =
+  let s = Printf.sprintf "%g" x in
+  match float_of_string_opt s with
+  | Some y when Float.equal y x -> s
+  | Some _ | None -> Printf.sprintf "%.17g" x
+
+let printf_json_number x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else printf_shortest x
+
+let renders_like_printf x =
+  let want = printf_shortest x in
+  String.equal (X.to_string x) want
+  && String.equal (Search_numerics.Csv_out.float_cell x) want
+  && String.equal (Format.asprintf "%a" X.pp x) want
+  && ((not (Float.is_finite x))
+     || String.equal (Json.number_to_string x) (printf_json_number x))
+
+let test_float_render_edges () =
+  List.iter
+    (fun x ->
+      check_bool (Printf.sprintf "%h" x) true (renders_like_printf x))
+    [
+      0.; -0.; 1.; -1.; 0.1; 1. /. 3.; 5.233069471915198; 1.5874010519681994;
+      1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 1e15 +. 2.; Float.pred 1e15;
+      Float.succ 1e15; 999999999999999.5; 123456789.; 1e6; 1e21; 1e-7;
+      0x1p52; 0x1p53 +. 2.; 0x1p62; 5e-324; -5e-324; Float.pred min_float;
+      min_float; max_float; -.max_float; infinity; neg_infinity; nan;
+      Float.neg nan;
+    ]
+
+let prop_float_render_matches_printf =
+  let open QCheck2.Gen in
+  let bits = map Int64.float_of_bits ui64 in
+  let subnormal =
+    map
+      (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL))
+      ui64
+  in
+  let near_1e15 = map (fun d -> 1e15 +. float_of_int d) (int_range (-3) 3) in
+  let integral = map (fun i -> float_of_int i) int in
+  QCheck2.Test.make ~count:2000 ~name:"float renderer matches printf"
+    ~print:(Printf.sprintf "%h")
+    (oneof [ bits; subnormal; near_1e15; integral; float ])
+    renders_like_printf
 
 let rec json_gen depth =
   let open QCheck2.Gen in
@@ -675,6 +818,7 @@ let properties =
       prop_brent_finds_root;
       prop_sweep_profile_partitions;
       prop_interval_truncate_subset;
+      prop_float_render_matches_printf;
     ]
 
 let () =
@@ -778,6 +922,11 @@ let () =
           tc "parse escapes" `Quick test_json_parse_escapes;
           tc "parse errors" `Quick test_json_parse_errors;
           tc "accessors" `Quick test_json_accessors;
+          tc "error corpus" `Quick test_json_error_corpus;
+          tc "unicode escapes take four hex digits" `Quick
+            test_json_unicode_escape_is_four_hex_digits;
+          tc "to_int range" `Quick test_json_to_int_range;
+          tc "float render edges" `Quick test_float_render_edges;
         ] );
       ("properties", properties);
     ]

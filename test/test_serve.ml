@@ -52,34 +52,90 @@ let test_request_roundtrips () =
       P.Stats;
     ]
 
-let test_response_roundtrips () =
-  List.iter roundtrip_response
-    [
-      P.Bound_ok
-        { bound = 5.233069471915198; regime = "searching";
-          alpha_star = Some 1.5874010519681994 };
-      (* the unsolvable regime really produces an infinite bound; it must
-         survive the wire even though JSON has no Infinity literal *)
-      P.Bound_ok { bound = infinity; regime = "unsolvable"; alpha_star = None };
-      P.Bound_ok { bound = neg_infinity; regime = "unsolvable"; alpha_star = None };
-      P.Certify_ok
-        { verdict = "refuted-gap"; detail = "REFUTED: point 1.03"; bound = 5.2 };
-      P.Sweep_ok { rows = [ [ "1.2"; "5.3"; "5.3" ]; [ "1.4"; "5.9"; "6.0" ] ] };
-      P.Sweep_ok { rows = [] };
-      P.Simulate_ok { estimate = 4.59112 };
-      P.Stats_ok
-        {
-          served = 12; sheds = 3; batches = 4; max_batch = 5;
-          cache = { hits = 9; misses = 2; evictions = 1; entries = 2; capacity = 8 };
-          pool = { jobs = 4; submitted = 12; settled = 12; pending = 0 };
-        };
-      P.Overloaded { pending = 64; cap = 64 };
-      P.Failed (E.Invalid_input { where = "serve/bound"; what = "bad k" });
-      P.Failed
-        (E.Budget_exceeded
-           { task = "serve/req-3"; resource = E.Steps; limit = 10.; spent = 11. });
-      P.Failed (E.Worker_crash { task = "serve/req-0"; attempt = 1; detail = "boom" });
-    ]
+let sample_responses =
+  [
+    P.Bound_ok
+      (P.bound_payload ~bound:5.233069471915198 ~regime:"searching"
+         ~alpha_star:(Some 1.5874010519681994));
+    (* the unsolvable regime really produces an infinite bound; it must
+       survive the wire even though JSON has no Infinity literal *)
+    P.Bound_ok
+      (P.bound_payload ~bound:infinity ~regime:"unsolvable" ~alpha_star:None);
+    P.Bound_ok
+      (P.bound_payload ~bound:neg_infinity ~regime:"unsolvable"
+         ~alpha_star:None);
+    P.Certify_ok
+      { verdict = "refuted-gap"; detail = "REFUTED: point 1.03"; bound = 5.2 };
+    P.Sweep_ok { rows = [ [ "1.2"; "5.3"; "5.3" ]; [ "1.4"; "5.9"; "6.0" ] ] };
+    P.Sweep_ok { rows = [] };
+    P.Simulate_ok { estimate = 4.59112 };
+    P.Stats_ok
+      {
+        served = 12; sheds = 3; batches = 4; max_batch = 5;
+        cache = { hits = 9; misses = 2; evictions = 1; entries = 2; capacity = 8 };
+        pool = { jobs = 4; submitted = 12; settled = 12; pending = 0 };
+      };
+    P.Overloaded { pending = 64; cap = 64 };
+    P.Failed (E.Invalid_input { where = "serve/bound"; what = "bad k" });
+    P.Failed
+      (E.Budget_exceeded
+         { task = "serve/req-3"; resource = E.Steps; limit = 10.; spent = 11. });
+    P.Failed (E.Worker_crash { task = "serve/req-0"; attempt = 1; detail = "boom" });
+  ]
+
+let test_response_roundtrips () = List.iter roundtrip_response sample_responses
+
+(* [encode_response] splices a cached [Bound_ok] rendering into the
+   envelope; the bytes must be those of printing the whole envelope *)
+let test_encode_response_matches_generic () =
+  let generic ~id r =
+    Json.to_string
+      (Json.Assoc
+         [ ("id", Json.Number (float_of_int id)); ("resp", P.response_to_json r) ])
+  in
+  let non_finite_bounds =
+    List.map
+      (fun (bound, alpha_star) ->
+        P.Bound_ok (P.bound_payload ~bound ~regime:"searching" ~alpha_star))
+      [
+        (Float.nan, None); (infinity, Some Float.nan);
+        (neg_infinity, Some infinity); (-0., Some neg_infinity);
+      ]
+  in
+  List.iter
+    (fun r ->
+      (match r with
+      | P.Bound_ok p ->
+          check_string "wire is the body's rendering"
+            (Json.to_string (P.response_to_json r))
+            p.P.wire
+      | _ -> ());
+      List.iter
+        (fun id ->
+          check_string
+            (Printf.sprintf "envelope bytes, id %d" id)
+            (generic ~id r) (P.encode_response ~id r))
+        [ 0; 9; -1; 1 lsl 50; max_int; min_int ])
+    (sample_responses @ non_finite_bounds)
+
+(* an integral id or field beyond an [int] must not wrap into another
+   request's id (1e300 used to read as 0) *)
+let test_out_of_range_integers_rejected () =
+  (match
+     P.decode_request {|{"id":1e300,"req":{"op":"bound","m":2,"k":3,"f":1}}|}
+   with
+  | Error (None, _) -> ()
+  | Error (Some id, _) -> Alcotest.failf "id 1e300 decoded as %d" id
+  | Ok (id, _) -> Alcotest.failf "envelope accepted with id %d" id);
+  (match
+     P.decode_request {|{"id":1,"req":{"op":"bound","m":1e19,"k":3,"f":1}}|}
+   with
+  | Error (Some 1, msg) ->
+      check_string "m is refused" {|missing or non-integer field "m"|} msg
+  | Error _ | Ok _ -> Alcotest.fail "m = 1e19 not refused for id 1");
+  match P.decode_response {|{"id":-1e19,"resp":{"tag":"simulate","estimate":1}}|} with
+  | Error _ -> ()
+  | Ok (id, _) -> Alcotest.failf "response accepted with id %d" id
 
 let test_nan_roundtrips_as_string () =
   (* NaN is spelled as the JSON string "nan"; build it from the wire side
@@ -547,6 +603,10 @@ let () =
             test_nan_roundtrips_as_string;
           tc "garbage decodes to an addressable error" `Quick
             test_garbage_decodes_to_error;
+          tc "encode_response bytes match the generic printer" `Quick
+            test_encode_response_matches_generic;
+          tc "out-of-range integers are refused, not wrapped" `Quick
+            test_out_of_range_integers_rejected;
         ] );
       ( "framing",
         [
