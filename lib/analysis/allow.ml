@@ -13,34 +13,44 @@ let split_words s =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun w -> w <> "")
 
-let parse contents =
-  let lines = String.split_on_char '\n' contents in
+let parse_lines entry contents =
   let rec go lineno acc = function
-    | [] -> Ok { items = List.rev acc }
+    | [] -> Ok (List.rev acc)
     | line :: rest -> (
         match split_words (strip_comment line) with
         | [] -> go (lineno + 1) acc rest
-        | [ rule; path ] ->
-            go (lineno + 1) ({ rule; path; line = lineno } :: acc) rest
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "lint.allow:%d: expected '<rule-id> <path>' (plus optional \
-                  # comment), got %S"
-                 lineno (String.trim line)))
+        | words -> (
+            match entry ~lineno line words with
+            | Ok e -> go (lineno + 1) (e :: acc) rest
+            | Error _ as err -> err))
   in
-  go 1 [] lines
+  go 1 [] (String.split_on_char '\n' contents)
 
-let load path =
+let parse contents =
+  parse_lines
+    (fun ~lineno line -> function
+      | [ rule; path ] -> Ok { rule; path; line = lineno }
+      | _ ->
+          Error
+            (Printf.sprintf
+               "lint.allow:%d: expected '<rule-id> <path>' (plus optional # \
+                comment), got %S"
+               lineno (String.trim line)))
+    contents
+  |> Result.map (fun items -> { items })
+
+(* Open errors already carry the path, read errors (a directory) do not. *)
+let load_with parse ~empty path =
   if not (Sys.file_exists path) then Ok empty
   else
-    let ic = open_in_bin path in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    parse contents
+    match In_channel.with_open_bin path In_channel.input_all with
+    | contents -> parse contents
+    | exception Sys_error reason ->
+        Error
+          (if String.starts_with ~prefix:(path ^ ": ") reason then reason
+           else Printf.sprintf "%s: %s" path reason)
+
+let load = load_with parse ~empty
 
 let permits t ~rule ~file =
   List.exists

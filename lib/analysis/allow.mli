@@ -23,6 +23,21 @@ val load : string -> (t, string) result
 (** [load path] reads and parses [path]; a missing file is an empty
     allowlist (so fresh checkouts lint strictly). *)
 
+val parse_lines :
+  (lineno:int -> string -> string list -> ('a, string) result) ->
+  string ->
+  ('a list, string) result
+(** The line discipline [lint.allow] and [lint.budget] share: drop
+    ['#'] comments and blank lines, and hand every remaining line's
+    number, raw text and whitespace-separated words to the entry
+    parser.  The first error wins. *)
+
+val load_with :
+  (string -> ('a, string) result) -> empty:'a -> string -> ('a, string) result
+(** [load_with parse ~empty path]: [Ok empty] when [path] does not
+    exist, [Error "<path>: <reason>"] when it cannot be read (a
+    directory, no permission), else [parse] of its contents. *)
+
 val permits : t -> rule:string -> file:string -> bool
 (** Is [(rule, file)] suppressed? *)
 

@@ -7,64 +7,41 @@
    on cache growth carry an audited exact count with a justifying
    comment.  A root with no entry gets the strictest default: 0.
 
-   Same file discipline as lint.allow: '#' comments, staleness is
-   detected (an entry naming no current [@hot] root), and parse errors
-   are reported with the offending line. *)
+   Same file discipline as lint.allow, through its shared line parser
+   and loader: '#' comments, staleness is detected (an entry naming no
+   current [@hot] root), and parse errors are reported with the
+   offending line. *)
 
 type entry = { bname : string; bcount : int; bline : int }
 type t = { items : entry list }
 
 let empty = { items = [] }
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> w <> "")
-
 let parse contents =
-  let lines = String.split_on_char '\n' contents in
-  let rec go lineno acc = function
-    | [] -> Ok { items = List.rev acc }
-    | line :: rest -> (
-        match split_words (strip_comment line) with
-        | [] -> go (lineno + 1) acc rest
-        | [ bname; count ] -> (
-            match int_of_string_opt count with
-            | Some bcount when bcount >= 0 ->
-                go (lineno + 1) ({ bname; bcount; bline = lineno } :: acc) rest
-            | Some _ ->
-                Error
-                  (Printf.sprintf
-                     "lint.budget:%d: budget for %s must be >= 0" lineno bname)
-            | None ->
-                Error
-                  (Printf.sprintf
-                     "lint.budget:%d: expected an integer budget, got %S"
-                     lineno count))
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "lint.budget:%d: expected '<function> <count>' (plus \
-                  optional # comment), got %S"
-                 lineno (String.trim line)))
-  in
-  go 1 [] lines
+  Allow.parse_lines
+    (fun ~lineno line -> function
+      | [ bname; count ] -> (
+          match int_of_string_opt count with
+          | Some bcount when bcount >= 0 -> Ok { bname; bcount; bline = lineno }
+          | Some _ ->
+              Error
+                (Printf.sprintf "lint.budget:%d: budget for %s must be >= 0"
+                   lineno bname)
+          | None ->
+              Error
+                (Printf.sprintf
+                   "lint.budget:%d: expected an integer budget, got %S" lineno
+                   count))
+      | _ ->
+          Error
+            (Printf.sprintf
+               "lint.budget:%d: expected '<function> <count>' (plus optional \
+                # comment), got %S"
+               lineno (String.trim line)))
+    contents
+  |> Result.map (fun items -> { items })
 
-let load path =
-  if not (Sys.file_exists path) then Ok empty
-  else
-    let ic = open_in_bin path in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    parse contents
+let load = Allow.load_with parse ~empty
 
 let find t name =
   List.find_map

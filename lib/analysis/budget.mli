@@ -15,7 +15,7 @@ val parse : string -> (t, string) result
 (** Parse file contents; the error carries [lint.budget:<line>]. *)
 
 val load : string -> (t, string) result
-(** [Ok empty] when the file does not exist. *)
+(** [Ok empty] when the file does not exist; see {!Allow.load_with}. *)
 
 val find : t -> string -> int option
 (** Budget for a root, by display name. *)

@@ -882,7 +882,7 @@ let summarize (u : Cmt_loader.unit_info) =
 
 type t = {
   defs : (string, def) Hashtbl.t;
-  def_order : string list;  (** sorted canonical names *)
+  sorted_defs : def list;  (** every def, by canonical name *)
   cells : (string, cell) Hashtbl.t;
   mutex_locs : (string, Location.t) Hashtbl.t;
   entries : (string, unit) Hashtbl.t;
@@ -984,10 +984,12 @@ let build summaries =
           if d.pool_entry then Hashtbl.replace entries d.name ())
         s.defs)
     summaries;
-  let def_order =
-    List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) defs [])
+  let sorted_defs =
+    List.sort
+      (fun a b -> String.compare a.name b.name)
+      (Hashtbl.fold (fun _ d acc -> d :: acc) defs [])
   in
-  { defs; def_order; cells; mutex_locs; entries }
+  { defs; sorted_defs; cells; mutex_locs; entries }
 
 let find_def t name = Hashtbl.find_opt t.defs name
 let is_entry t name = Hashtbl.mem t.entries name || Hashtbl.mem t.entries (strip_stdlib name)

@@ -107,7 +107,7 @@ val summarize : Cmt_loader.unit_info -> summary
 
 type t = {
   defs : (string, def) Hashtbl.t;
-  def_order : string list;  (** sorted canonical names *)
+  sorted_defs : def list;  (** every def, by canonical name *)
   cells : (string, cell) Hashtbl.t;
   mutex_locs : (string, Location.t) Hashtbl.t;
   entries : (string, unit) Hashtbl.t;

@@ -20,8 +20,7 @@
    precondition idiom; [Search_error.classify] folds both into the
    taxonomy at every supervision boundary).  The witness is the
    shortest call chain from the boundary to the raise site, rebuilt
-   from the [Via] back-pointers the synchronized-round fixpoint leaves
-   behind — same shape as the taint chains.
+   from the [Via] back-pointers {!Flow.fixpoint} leaves behind.
 
    Release discipline ([escape-leak]).  A def that references an
    acquisition primitive ([Unix.socket]/[openfile]/[accept],
@@ -35,24 +34,17 @@
    this tree is expected to take.  Scope: [lib/] and [bin/] (tests and
    benches may leak into process teardown).
 
-   Simulation hygiene ([escape-realio]).  Everything reachable through
-   call edges from [lib/dst] (the deterministic-simulation bottle) and
+   Simulation hygiene ([escape-realio]).  Everything {!Flow.reach}
+   finds from [lib/dst] (the deterministic-simulation bottle) and
    [lib/serve] (the code that must stay portable across the [Runtime]
    ops seam) must not reference real Unix socket/clock/sleep
-   primitives.  The traversal stops at [[@real_io]]-audited barriers —
-   the production ops record constructors in [runtime.ml] — and flags
-   every other reachable reference with the full call chain, exactly
-   like the hot-path blocking rule.  References, not just calls, so a
-   real primitive captured as a default argument is caught too.
-
-   Determinism: defs are visited in sorted order, the fixpoint runs in
-   synchronized rounds over sorted names, traversals are breadth-first
-   over deterministically ordered call lists — findings are
-   byte-identical at any job count. *)
+   primitives.  The reach does not enter [[@real_io]]-audited barriers
+   — the production ops record constructors in [runtime.ml] — and
+   every other reached reference is flagged with the full call chain.
+   References, not just calls, so a real primitive captured as a
+   default argument is caught too. *)
 
 module SM = Map.Make (String)
-
-let human name = Callgraph.display_name (Callgraph.strip_stdlib name)
 
 let rule_ids = [ "escape-exn"; "escape-leak"; "escape-realio" ]
 
@@ -69,72 +61,42 @@ type origin =
 let caught_by ctx e =
   List.exists
     (fun c ->
-      let c = human c in
+      let c = Flow.human c in
       String.equal c "*" || String.equal c e)
     ctx
 
 (* def name -> exception display name -> first (shortest) origin *)
 let compute_may (g : Callgraph.t) =
-  let may : (string, origin SM.t) Hashtbl.t = Hashtbl.create 512 in
-  List.iter
-    (fun n ->
-      match Callgraph.find_def g n with
-      | None -> ()
-      | Some d ->
-          let m =
-            List.fold_left
-              (fun m (x : Callgraph.raise_site) ->
-                let e = human x.Callgraph.exn in
-                if caught_by x.Callgraph.xcaught e || SM.mem e m then m
-                else SM.add e (Direct x.Callgraph.xloc) m)
-              SM.empty d.Callgraph.raises
-          in
-          Hashtbl.replace may n m)
-    g.Callgraph.def_order;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* synchronized rounds: read the previous round's state everywhere,
-       apply the additions after the sweep — chains come out shortest
-       and the visit order cannot influence the result *)
-    let staged = ref [] in
-    List.iter
-      (fun n ->
-        match Callgraph.find_def g n with
-        | None -> ()
-        | Some d ->
-            let cur =
-              Option.value (Hashtbl.find_opt may n) ~default:SM.empty
-            in
-            let add =
-              List.fold_left
-                (fun add (h : Callgraph.hcall) ->
-                  match Hashtbl.find_opt may h.Callgraph.hname with
-                  | None -> add
-                  | Some cm ->
-                      SM.fold
-                        (fun e _ add ->
-                          if
-                            caught_by h.Callgraph.hcaught e
-                            || SM.mem e cur || SM.mem e add
-                          then add
-                          else
-                            SM.add e
-                              (Via (h.Callgraph.hname, h.Callgraph.hloc))
-                              add)
-                        cm add)
-                SM.empty d.Callgraph.hcalls
-            in
-            if not (SM.is_empty add) then staged := (n, add) :: !staged)
-      g.Callgraph.def_order;
-    List.iter
-      (fun (n, add) ->
-        changed := true;
-        let cur = Option.value (Hashtbl.find_opt may n) ~default:SM.empty in
-        Hashtbl.replace may n (SM.union (fun _ a _ -> Some a) cur add))
-      !staged
-  done;
-  may
+  Flow.fixpoint g
+    ~init:(fun d ->
+      Some
+        (List.fold_left
+           (fun m (x : Callgraph.raise_site) ->
+             let e = Flow.human x.Callgraph.exn in
+             if caught_by x.Callgraph.xcaught e || SM.mem e m then m
+             else SM.add e (Direct x.Callgraph.xloc) m)
+           SM.empty d.Callgraph.raises))
+    ~step:(fun may d ->
+      let cur = Option.value (may d.Callgraph.name) ~default:SM.empty in
+      let add =
+        List.fold_left
+          (fun add (h : Callgraph.hcall) ->
+            match may h.Callgraph.hname with
+            | None -> add
+            | Some cm ->
+                SM.fold
+                  (fun e _ add ->
+                    if
+                      caught_by h.Callgraph.hcaught e
+                      || SM.mem e cur || SM.mem e add
+                    then add
+                    else
+                      SM.add e (Via (h.Callgraph.hname, h.Callgraph.hloc)) add)
+                  cm add)
+          SM.empty d.Callgraph.hcalls
+      in
+      if SM.is_empty add then None
+      else Some (SM.union (fun _ a _ -> Some a) cur add))
 
 (* Follow the [Via] back-pointers from [n] down to the raise site.
    Returns the chain names (boundary first) and the raising def. *)
@@ -142,7 +104,7 @@ let chain_to_raise may n e =
   let rec go n acc fuel =
     if fuel = 0 then None
     else
-      match Hashtbl.find_opt may n with
+      match may n with
       | None -> None
       | Some m -> (
           match SM.find_opt e m with
@@ -175,54 +137,42 @@ let is_boundary ~exports (d : Callgraph.def) =
 
 let exn_findings ~exports may g =
   List.concat_map
-    (fun n ->
-      match Callgraph.find_def g n with
-      | None -> []
-      | Some d -> (
-          match is_boundary ~exports d with
-          | None -> []
-          | Some ctx -> (
-              match Hashtbl.find_opt may n with
-              | None -> []
-              | Some m ->
-                  List.filter_map
-                    (fun (e, _) ->
-                      if List.mem e sanctioned_escapes then None
-                      else
-                        match chain_to_raise may n e with
-                        | None -> None
-                        | Some (names, raiser, xloc) ->
-                            let rd = Callgraph.find_def g raiser in
-                            let file =
-                              match rd with
-                              | Some rd -> rd.Callgraph.file
-                              | None -> d.Callgraph.file
-                            in
-                            let line =
-                              xloc.Location.loc_start.Lexing.pos_lnum
-                            in
-                            let shown =
-                              if String.equal e "*" then
-                                "a statically unknown exception"
-                              else "exception " ^ e
-                            in
-                            Some
-                              (Finding.v ~rule:"escape-exn"
-                                 ~severity:Finding.Error ~file ~loc:xloc
-                                 ~suggestion:
-                                   "raise Search_error.Error \
-                                    (Search_error.raise_ / invalid) instead, \
-                                    handle it before the boundary, or audit \
-                                    with a lint.allow entry"
-                                 (Printf.sprintf
-                                    "%s escapes %s %s: %s -> <raise %s at \
-                                     %s:%d>"
-                                    shown ctx d.Callgraph.display
-                                    (String.concat " -> "
-                                       (List.map human names))
-                                    e file line)))
-                    (SM.bindings m))))
-    g.Callgraph.def_order
+    (fun (d : Callgraph.def) ->
+      match (is_boundary ~exports d, may d.Callgraph.name) with
+      | None, _ | _, None -> []
+      | Some ctx, Some m ->
+          List.filter_map
+            (fun (e, _) ->
+              if List.mem e sanctioned_escapes then None
+              else
+                match chain_to_raise may d.Callgraph.name e with
+                | None -> None
+                | Some (names, raiser, xloc) ->
+                    let file =
+                      match Callgraph.find_def g raiser with
+                      | Some rd -> rd.Callgraph.file
+                      | None -> d.Callgraph.file
+                    in
+                    let line = xloc.Location.loc_start.Lexing.pos_lnum in
+                    let shown =
+                      if String.equal e "*" then
+                        "a statically unknown exception"
+                      else "exception " ^ e
+                    in
+                    Some
+                      (Finding.v ~rule:"escape-exn" ~severity:Finding.Error
+                         ~file ~loc:xloc
+                         ~suggestion:
+                           "raise Search_error.Error (Search_error.raise_ / \
+                            invalid) instead, handle it before the boundary, \
+                            or audit with a lint.allow entry"
+                         (Printf.sprintf
+                            "%s escapes %s %s: %s -> <raise %s at %s:%d>"
+                            shown ctx d.Callgraph.display
+                            (String.concat " -> " (List.map Flow.human names))
+                            e file line)))
+            (SM.bindings m))
+    g.Callgraph.sorted_defs
 
 (* ------------------------------------------------------------------ *)
 (* release discipline                                                  *)
@@ -258,49 +208,44 @@ let protect_wrappers = [ "Fun.protect"; "Mutex.protect" ]
 
 let leak_findings (g : Callgraph.t) =
   List.concat_map
-    (fun n ->
-      match Callgraph.find_def g n with
-      | None -> []
-      | Some d ->
-          if
-            not
-              (String.starts_with ~prefix:"lib/" d.Callgraph.file
-              || String.starts_with ~prefix:"bin/" d.Callgraph.file)
-            || d.Callgraph.releases
-          then []
-          else
-            let refs = List.map (fun (r : Callgraph.reference) -> r) d.Callgraph.refs in
-            let has names =
-              List.exists
-                (fun (r : Callgraph.reference) ->
-                  List.mem (human r.Callgraph.target) names)
-                refs
-            in
-            let protected_ = has protect_wrappers in
-            List.filter_map
-              (fun (r : Callgraph.reference) ->
-                match List.assoc_opt (human r.Callgraph.target) acquirers with
-                | None -> None
-                | Some cls ->
-                    if protected_ && has (releasers cls) then None
-                    else
-                      Some
-                        (Finding.v ~rule:"escape-leak" ~severity:Finding.Error
-                           ~file:d.Callgraph.file ~loc:r.Callgraph.rloc
-                           ~suggestion:
-                             "release in Fun.protect ~finally (or a \
-                              Mutex.protect body), or audit the wrapper \
-                              with [@releases]"
-                           (Printf.sprintf
-                              "%s acquired by %s in %s is not released on \
-                               raising paths: no %s under a protect wrapper \
-                               and no [@releases] audit"
-                              (class_name cls)
-                              (human r.Callgraph.target)
-                              d.Callgraph.display
-                              (String.concat "/" (releasers cls)))))
-              refs)
-    g.Callgraph.def_order
+    (fun (d : Callgraph.def) ->
+      if
+        not
+          (String.starts_with ~prefix:"lib/" d.Callgraph.file
+          || String.starts_with ~prefix:"bin/" d.Callgraph.file)
+        || d.Callgraph.releases
+      then []
+      else
+        let refs = d.Callgraph.refs in
+        let has names =
+          List.exists
+            (fun (r : Callgraph.reference) ->
+              List.mem (Flow.human r.Callgraph.target) names)
+            refs
+        in
+        let protected_ = has protect_wrappers in
+        List.filter_map
+          (fun (r : Callgraph.reference) ->
+            match List.assoc_opt (Flow.human r.Callgraph.target) acquirers with
+            | None -> None
+            | Some cls ->
+                if protected_ && has (releasers cls) then None
+                else
+                  Some
+                    (Finding.v ~rule:"escape-leak" ~severity:Finding.Error
+                       ~file:d.Callgraph.file ~loc:r.Callgraph.rloc
+                       ~suggestion:
+                         "release in Fun.protect ~finally (or a Mutex.protect \
+                          body), or audit the wrapper with [@releases]"
+                       (Printf.sprintf
+                          "%s acquired by %s in %s is not released on raising \
+                           paths: no %s under a protect wrapper and no \
+                           [@releases] audit"
+                          (class_name cls) (Flow.human r.Callgraph.target)
+                          d.Callgraph.display
+                          (String.concat "/" (releasers cls)))))
+          refs)
+    g.Callgraph.sorted_defs
 
 (* ------------------------------------------------------------------ *)
 (* simulation hygiene                                                  *)
@@ -321,94 +266,42 @@ let sim_root (d : Callgraph.def) =
   List.exists (fun p -> String.starts_with ~prefix:p d.Callgraph.file) sim_dirs
   && not d.Callgraph.real_io
 
-(* breadth-first over call edges, like the hot-path traversal *)
-let reach g (root : Callgraph.def) ~enter =
-  let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let visited : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.replace visited root.Callgraph.name ();
-  let order = ref [ root.Callgraph.name ] in
-  let frontier = ref [ root ] in
-  while !frontier <> [] do
-    let next = ref [] in
-    List.iter
-      (fun (d : Callgraph.def) ->
-        List.iter
-          (fun (h : Callgraph.hcall) ->
-            let t = h.Callgraph.hname in
-            if not (Hashtbl.mem visited t) then
-              match Callgraph.find_def g t with
-              | Some td when enter td ->
-                  Hashtbl.replace visited t ();
-                  Hashtbl.replace parent t d.Callgraph.name;
-                  order := t :: !order;
-                  next := td :: !next
-              | _ -> ())
-          d.Callgraph.hcalls)
-      !frontier;
-    frontier := List.rev !next
-  done;
-  (List.rev !order, parent)
-
-let chain_string parent ~root_name name =
-  let rec go n acc fuel =
-    if String.equal n root_name || fuel = 0 then n :: acc
-    else
-      match Hashtbl.find_opt parent n with
-      | Some p -> go p (n :: acc) (fuel - 1)
-      | None -> n :: acc
-  in
-  String.concat " -> " (List.map human (go name [] 64))
-
 let realio_findings (g : Callgraph.t) =
-  let roots =
-    List.filter_map
-      (fun n ->
-        match Callgraph.find_def g n with
-        | Some d when sim_root d -> Some d
-        | _ -> None)
-      g.Callgraph.def_order
-  in
   (* a def only ever yields the same primitive findings whatever root
      reached it; report each (def, ref) once, from the first root in
      sorted order that reaches it *)
   let reported : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   List.concat_map
     (fun (root : Callgraph.def) ->
-      let order, parent =
-        reach g root ~enter:(fun (d : Callgraph.def) ->
+      let order, chain =
+        Flow.reach g root ~enter:(fun (d : Callgraph.def) ->
             not d.Callgraph.real_io)
       in
       List.concat_map
-        (fun n ->
-          match Callgraph.find_def g n with
-          | None -> []
-          | Some d ->
-              if Hashtbl.mem reported n then []
-              else begin
-                Hashtbl.replace reported n ();
-                List.filter_map
-                  (fun (r : Callgraph.reference) ->
-                    let disp = human r.Callgraph.target in
-                    if List.mem disp realio_names then
-                      Some
-                        (Finding.v ~rule:"escape-realio"
-                           ~severity:Finding.Error ~file:d.Callgraph.file
-                           ~loc:r.Callgraph.rloc
-                           ~suggestion:
-                             "route the effect through the Runtime ops \
-                              record / the simulated clock, or audit the \
-                              barrier with [@real_io]"
-                           (Printf.sprintf
-                              "real I/O primitive reachable from the \
-                               simulation seam: %s -> %s"
-                              (chain_string parent
-                                 ~root_name:root.Callgraph.name n)
-                              disp))
-                    else None)
-                  d.Callgraph.refs
-              end)
+        (fun (d : Callgraph.def) ->
+          if Hashtbl.mem reported d.Callgraph.name then []
+          else begin
+            Hashtbl.replace reported d.Callgraph.name ();
+            List.filter_map
+              (fun (r : Callgraph.reference) ->
+                let disp = Flow.human r.Callgraph.target in
+                if List.mem disp realio_names then
+                  Some
+                    (Finding.v ~rule:"escape-realio" ~severity:Finding.Error
+                       ~file:d.Callgraph.file ~loc:r.Callgraph.rloc
+                       ~suggestion:
+                         "route the effect through the Runtime ops record / \
+                          the simulated clock, or audit the barrier with \
+                          [@real_io]"
+                       (Printf.sprintf
+                          "real I/O primitive reachable from the simulation \
+                           seam: %s -> %s"
+                          (chain d) disp))
+                else None)
+              d.Callgraph.refs
+          end)
         order)
-    roots
+    (List.filter sim_root g.Callgraph.sorted_defs)
 
 (* ------------------------------------------------------------------ *)
 

@@ -4,31 +4,25 @@
 
    Allocation budgets.  A [@hot] def is the root of a kernel the
    raw-speed pass made allocation-free (the adversary's compiled scan,
-   the turning-prefix walk, the flat first-visit probe).  The pass
-   collects every def reachable from the root through call edges
-   ({!Callgraph.hcall}, not plain references — referencing a value does
-   not execute it), sums their statically classified allocation sites,
-   and compares the total against the root's [lint.budget] entry
-   (default 0).  Exceeding the budget yields a [hotpath-alloc] finding
-   placed at the offending site, with the full call chain from the
-   root as witness: [Turning.compiled_get -> Turning.ensure -> <array
+   the turning-prefix walk, the flat first-visit probe).  The pass sums
+   the statically classified allocation sites of every def
+   {!Flow.reach} finds from the root, and compares the total against
+   the root's [lint.budget] entry (default 0).  Exceeding the budget
+   yields a [hotpath-alloc] finding placed at the offending site, with
+   the full call chain from the root as witness: [Turning.compiled_get -> Turning.ensure -> <array
    allocation at lib/strategy/turning.ml:90>].
 
    Event-loop liveness.  An [@event_loop] def owns a select loop whose
    latency contract dies the moment a blocking call sneaks into a
-   handler.  The pass walks the same call edges from the root —
-   stopping at [@nonblocking] barriers (audited: nonblocking-fd I/O
-   handlers) and at calls that are themselves blocking primitives —
-   and flags every reference to a blocking primitive in the reachable
-   region as [hotpath-blocking], again with the call chain.  The
-   root's own [Unix.select] is exempt: that wait *is* the loop.
-   References (not just calls) are scanned so that capturing
-   [Unix.sleepf] as a default argument is caught too — exactly the
-   retry-backoff bug this rule exists to keep out.
-
-   Determinism: roots are visited in sorted def order, the traversal
-   is breadth-first over deterministically ordered call lists, so
-   findings are byte-identical at any job count. *)
+   handler.  The pass reaches from the root without entering
+   [@nonblocking] barriers (audited: nonblocking-fd I/O handlers) or
+   calls that are themselves blocking primitives, and flags every
+   reference to a blocking primitive in the reached region as
+   [hotpath-blocking], again with the call chain.  The root's own
+   [Unix.select] is exempt: that wait *is* the loop.  References (not
+   just calls) are scanned so that capturing [Unix.sleepf] as a default
+   argument is caught too — exactly the retry-backoff bug this rule
+   exists to keep out. *)
 
 let blocking_names =
   [
@@ -38,64 +32,16 @@ let blocking_names =
     "Mutex.lock"; "Condition.wait"; "Pool.await";
   ]
 
-let human name = Callgraph.display_name (Callgraph.strip_stdlib name)
-let is_blocking name = List.mem (human name) blocking_names
-
-(* Breadth-first reachability over call edges from [root], entering
-   only defs admitted by [enter].  Returns the visited names in
-   discovery order and the parent table for witness chains. *)
-let reach g (root : Callgraph.def) ~enter =
-  let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let visited : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.replace visited root.Callgraph.name ();
-  let order = ref [ root.Callgraph.name ] in
-  let frontier = ref [ root ] in
-  while !frontier <> [] do
-    let next = ref [] in
-    List.iter
-      (fun (d : Callgraph.def) ->
-        List.iter
-          (fun (h : Callgraph.hcall) ->
-            let t = h.Callgraph.hname in
-            if not (Hashtbl.mem visited t) then
-              match Callgraph.find_def g t with
-              | Some td when enter td ->
-                  Hashtbl.replace visited t ();
-                  Hashtbl.replace parent t d.Callgraph.name;
-                  order := t :: !order;
-                  next := td :: !next
-              | _ -> ())
-          d.Callgraph.hcalls)
-      !frontier;
-    frontier := List.rev !next
-  done;
-  (List.rev !order, parent)
-
-let chain_string parent ~root_name name =
-  let rec go n acc fuel =
-    if String.equal n root_name || fuel = 0 then n :: acc
-    else
-      match Hashtbl.find_opt parent n with
-      | Some p -> go p (n :: acc) (fuel - 1)
-      | None -> n :: acc
-  in
-  String.concat " -> " (List.map human (go name [] 64))
+let is_blocking name = List.mem (Flow.human name) blocking_names
 
 let hot_roots g =
-  List.filter_map
-    (fun n ->
-      match Callgraph.find_def g n with
-      | Some d when d.Callgraph.hot -> Some d
-      | _ -> None)
-    g.Callgraph.def_order
+  List.filter (fun (d : Callgraph.def) -> d.Callgraph.hot)
+    g.Callgraph.sorted_defs
 
 let loop_roots g =
-  List.filter_map
-    (fun n ->
-      match Callgraph.find_def g n with
-      | Some d when d.Callgraph.event_loop -> Some d
-      | _ -> None)
-    g.Callgraph.def_order
+  List.filter
+    (fun (d : Callgraph.def) -> d.Callgraph.event_loop)
+    g.Callgraph.sorted_defs
 
 (* ------------------------------------------------------------------ *)
 (* allocation budgets                                                  *)
@@ -103,14 +49,11 @@ let loop_roots g =
 let alloc_findings ~budget g =
   List.filter_map
     (fun (root : Callgraph.def) ->
-      let order, parent = reach g root ~enter:(fun _ -> true) in
+      let order, chain = Flow.reach g root ~enter:(fun _ -> true) in
       let sites =
         List.concat_map
-          (fun n ->
-            match Callgraph.find_def g n with
-            | Some d ->
-                List.map (fun a -> (n, d, a)) d.Callgraph.allocs
-            | None -> [])
+          (fun (d : Callgraph.def) ->
+            List.map (fun a -> (d, a)) d.Callgraph.allocs)
           order
       in
       let count = List.length sites in
@@ -123,7 +66,7 @@ let alloc_findings ~budget g =
       else
         match sites with
         | [] -> None
-        | (n, d, a) :: _ ->
+        | (d, a) :: _ ->
             let line = a.Callgraph.aloc.Location.loc_start.Lexing.pos_lnum in
             Some
               (Finding.v ~rule:"hotpath-alloc" ~severity:Finding.Error
@@ -137,7 +80,7 @@ let alloc_findings ~budget g =
                     root.Callgraph.display count
                     (if count = 1 then "" else "s")
                     allowed
-                    (chain_string parent ~root_name:root.Callgraph.name n)
+                    (chain d)
                     (Callgraph.alloc_kind_to_string a.Callgraph.akind)
                     d.Callgraph.file line)))
     (hot_roots g)
@@ -148,39 +91,33 @@ let alloc_findings ~budget g =
 let blocking_findings g =
   List.concat_map
     (fun (root : Callgraph.def) ->
-      let order, parent =
-        reach g root ~enter:(fun (d : Callgraph.def) ->
+      let order, chain =
+        Flow.reach g root ~enter:(fun (d : Callgraph.def) ->
             (not d.Callgraph.nonblocking)
             && not (is_blocking d.Callgraph.name))
       in
       List.concat_map
-        (fun n ->
-          match Callgraph.find_def g n with
-          | None -> []
-          | Some d ->
-              let is_root = String.equal n root.Callgraph.name in
-              List.filter_map
-                (fun (r : Callgraph.reference) ->
-                  let disp = human r.Callgraph.target in
-                  if
-                    List.mem disp blocking_names
-                    && not (is_root && String.equal disp "Unix.select")
-                  then
-                    Some
-                      (Finding.v ~rule:"hotpath-blocking"
-                         ~severity:Finding.Error ~file:d.Callgraph.file
-                         ~loc:r.Callgraph.rloc
-                         ~suggestion:
-                           "make the operation nonblocking, move it off the \
-                            loop thread, or audit the handler with \
-                            [@nonblocking] / a lint.allow entry"
-                         (Printf.sprintf
-                            "blocking call reaches the event loop: %s -> %s"
-                            (chain_string parent
-                               ~root_name:root.Callgraph.name n)
-                            disp))
-                  else None)
-                d.Callgraph.refs)
+        (fun (d : Callgraph.def) ->
+          let is_root = String.equal d.Callgraph.name root.Callgraph.name in
+          List.filter_map
+            (fun (r : Callgraph.reference) ->
+              let disp = Flow.human r.Callgraph.target in
+              if
+                List.mem disp blocking_names
+                && not (is_root && String.equal disp "Unix.select")
+              then
+                Some
+                  (Finding.v ~rule:"hotpath-blocking" ~severity:Finding.Error
+                     ~file:d.Callgraph.file ~loc:r.Callgraph.rloc
+                     ~suggestion:
+                       "make the operation nonblocking, move it off the loop \
+                        thread, or audit the handler with [@nonblocking] / a \
+                        lint.allow entry"
+                     (Printf.sprintf
+                        "blocking call reaches the event loop: %s -> %s"
+                        (chain d) disp))
+              else None)
+            d.Callgraph.refs)
         order)
     (loop_roots g)
 
@@ -189,4 +126,5 @@ let findings ~budget g =
 
 let stale_budget ~budget g =
   Budget.stale budget
-    ~roots:(List.map (fun (d : Callgraph.def) -> d.Callgraph.display) (hot_roots g))
+    ~roots:
+      (List.map (fun (d : Callgraph.def) -> d.Callgraph.display) (hot_roots g))

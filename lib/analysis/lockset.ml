@@ -4,11 +4,10 @@
    lib/exec, or [Domain.spawn]) contains a closure that will run on
    another domain; the analysis conservatively treats the whole def —
    and everything it reaches through top-level calls — as potentially
-   parallel.  The must-hold fixpoint then computes, per pooled def, the
-   set of top-level mutexes held on *every* call path from a pooled
-   root (intersection semantics, descending), so a helper only ever
-   invoked under [Metrics.write_mutex] is not flagged for touching what
-   that mutex guards.
+   parallel.  The must-hold pass then computes, per pooled def, the set
+   of top-level mutexes held on *every* call path from a pooled root,
+   so a helper only ever invoked under [Metrics.write_mutex] is not
+   flagged for touching what that mutex guards.
 
    Races.  A top-level cell (ref / Hashtbl / container; [Atomic.t] is
    exempt, it is synchronised by construction) with at least one write
@@ -19,8 +18,7 @@
 
    Deadlocks.  Acquisition-order edges h → l are collected from lexical
    nesting ([Mutex.protect l] while h is held) and from calls made with
-   h held into defs that may acquire l (a may-acquire union fixpoint);
-   any cycle — including the self-loop of re-entering a held mutex,
+   h held into defs that may acquire l; any cycle — including the self-loop of re-entering a held mutex,
    which OCaml's non-reentrant [Mutex.t] turns into a deadlock — is a
    finding. *)
 
@@ -33,114 +31,107 @@ let suggestion_race =
 (* ------------------------------------------------------------------ *)
 (* pooled defs and the must-hold fixpoint                              *)
 
-type pooled = {
-  must : (string, SS.t) Hashtbl.t;  (** pooled defs only *)
-  root_entry : (string, string) Hashtbl.t;  (** root -> entry it calls *)
-  caller : (string, string) Hashtbl.t;  (** first caller that pooled it *)
-}
+type job =
+  | Submits of string  (** a pooled root: the pool entry it calls *)
+  | Called_by of Callgraph.def  (** the first caller that pooled it *)
 
-let compute_pooled (g : Callgraph.t) =
-  let must = Hashtbl.create 64 in
-  let root_entry = Hashtbl.create 16 in
-  let caller = Hashtbl.create 64 in
+type pooled = { must : SS.t; job : job }
+
+(* def name -> (referencing def, reference) in sorted def order; only
+   references to other defs, self-references dropped.  [find_all]
+   returns the latest binding first, hence the reversed fill. *)
+let referencers (g : Callgraph.t) =
+  let idx = Hashtbl.create 512 in
   List.iter
-    (fun name ->
-      match Callgraph.find_def g name with
-      | None -> ()
-      | Some d -> (
-          match
-            List.find_opt
-              (fun (r : Callgraph.reference) ->
-                Callgraph.is_entry g r.Callgraph.target
-                && not (String.equal r.Callgraph.target name))
-              d.Callgraph.refs
-          with
-          | Some r ->
-              Hashtbl.replace root_entry name
-                (Callgraph.display_name
-                   (Callgraph.strip_stdlib r.Callgraph.target));
-              Hashtbl.replace must name SS.empty
-          | None -> ()))
-    g.Callgraph.def_order;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun c ->
-        match (Hashtbl.find_opt must c, Callgraph.find_def g c) with
-        | Some mc, Some d ->
-            List.iter
-              (fun (r : Callgraph.reference) ->
-                let t = r.Callgraph.target in
-                if Hashtbl.mem g.Callgraph.defs t && not (String.equal t c)
-                then begin
-                  let contrib = SS.union mc (SS.of_list r.Callgraph.rheld) in
-                  match Hashtbl.find_opt must t with
-                  | None ->
-                      Hashtbl.replace must t contrib;
-                      Hashtbl.replace caller t c;
-                      changed := true
-                  | Some cur ->
-                      let inter = SS.inter cur contrib in
-                      if not (SS.equal inter cur) then begin
-                        Hashtbl.replace must t inter;
-                        changed := true
-                      end
-                end)
-              d.Callgraph.refs
-        | _ -> ())
-      g.Callgraph.def_order
-  done;
-  { must; root_entry; caller }
+    (fun (c : Callgraph.def) ->
+      List.iter
+        (fun (r : Callgraph.reference) ->
+          let t = r.Callgraph.target in
+          if
+            Hashtbl.mem g.Callgraph.defs t
+            && not (String.equal t c.Callgraph.name)
+          then Hashtbl.add idx t (c, r))
+        (List.rev c.Callgraph.refs))
+    (List.rev g.Callgraph.sorted_defs);
+  Hashtbl.find_all idx
 
-let job_chain (g : Callgraph.t) p name =
-  let disp n =
-    match Callgraph.find_def g n with
-    | Some d -> d.Callgraph.display
-    | None -> Callgraph.display_name n
-  in
-  let rec back n fuel acc =
+(* Pull-style: a def's must-hold set is the intersection, over its
+   pooled referencers, of what they hold at the reference.  The value
+   only descends once set, and its [Called_by] witness is fixed in the
+   round that first pools the def, so job chains come out shortest. *)
+let compute_pooled (g : Callgraph.t) =
+  let referencers = referencers g in
+  Flow.fixpoint g
+    ~init:(fun d ->
+      List.find_map
+        (fun (r : Callgraph.reference) ->
+          if
+            Callgraph.is_entry g r.Callgraph.target
+            && not (String.equal r.Callgraph.target d.Callgraph.name)
+          then
+            Some
+              { must = SS.empty; job = Submits (Flow.human r.Callgraph.target) }
+          else None)
+        d.Callgraph.refs)
+    ~step:(fun pooled d ->
+      let contribs =
+        List.filter_map
+          (fun ((c : Callgraph.def), (r : Callgraph.reference)) ->
+            Option.map
+              (fun p -> (c, SS.union p.must (SS.of_list r.Callgraph.rheld)))
+              (pooled c.Callgraph.name))
+          (referencers d.Callgraph.name)
+      in
+      match (pooled d.Callgraph.name, contribs) with
+      | Some { job = Submits _; _ }, _ | _, [] -> None
+      | cur, (c0, m0) :: rest -> (
+          let must =
+            List.fold_left (fun acc (_, m) -> SS.inter acc m) m0 rest
+          in
+          match cur with
+          | None -> Some { must; job = Called_by c0 }
+          | Some p ->
+              if SS.equal p.must must then None else Some { p with must }))
+
+let job_chain pooled (d : Callgraph.def) =
+  let rec back (d : Callgraph.def) fuel acc =
     if fuel = 0 then "..." :: acc
     else
-      match Hashtbl.find_opt p.caller n with
-      | Some c -> back c (fuel - 1) (disp n :: acc)
-      | None ->
-          let root =
-            match Hashtbl.find_opt p.root_entry n with
-            | Some e -> Printf.sprintf "%s{%s}" (disp n) e
-            | None -> disp n
-          in
-          root :: acc
+      match pooled d.Callgraph.name with
+      | Some { job = Called_by c; _ } ->
+          back c (fuel - 1) (d.Callgraph.display :: acc)
+      | Some { job = Submits e; _ } ->
+          Printf.sprintf "%s{%s}" d.Callgraph.display e :: acc
+      | None -> d.Callgraph.display :: acc
   in
-  String.concat " -> " (back name 12 [])
+  String.concat " -> " (back d 12 [])
 
 (* ------------------------------------------------------------------ *)
 (* race detection                                                      *)
 
 type access = {
-  acc_def : string;
+  acc_def : Callgraph.def;
   acc_loc : Location.t;
-  acc_file : string;
   acc_via : string option;  (** [Some mutator] for writes, [None] reads *)
   acc_eff : SS.t;  (** effective lockset: held at site ∪ must of def *)
 }
 
-let cell_accesses (g : Callgraph.t) p cell_name =
+let cell_accesses (g : Callgraph.t) pooled cell_name =
   List.concat_map
-    (fun name ->
-      match (Hashtbl.find_opt p.must name, Callgraph.find_def g name) with
-      | Some m, Some d ->
+    (fun (d : Callgraph.def) ->
+      match pooled d.Callgraph.name with
+      | None -> []
+      | Some p ->
           let writes =
             List.filter_map
               (fun (mu : Callgraph.mutation) ->
                 if String.equal mu.Callgraph.cell cell_name then
                   Some
                     {
-                      acc_def = name;
+                      acc_def = d;
                       acc_loc = mu.Callgraph.mloc;
-                      acc_file = d.Callgraph.file;
                       acc_via = Some mu.Callgraph.via;
-                      acc_eff = SS.union m (SS.of_list mu.Callgraph.mheld);
+                      acc_eff = SS.union p.must (SS.of_list mu.Callgraph.mheld);
                     }
                 else None)
               d.Callgraph.mutations
@@ -155,32 +146,27 @@ let cell_accesses (g : Callgraph.t) p cell_name =
                 then
                   Some
                     {
-                      acc_def = name;
+                      acc_def = d;
                       acc_loc = r.Callgraph.rloc;
-                      acc_file = d.Callgraph.file;
                       acc_via = None;
-                      acc_eff = SS.union m (SS.of_list r.Callgraph.rheld);
+                      acc_eff = SS.union p.must (SS.of_list r.Callgraph.rheld);
                     }
                 else None)
               d.Callgraph.refs
           in
-          writes @ reads
-      | _ -> [])
-    g.Callgraph.def_order
+          writes @ reads)
+    g.Callgraph.sorted_defs
 
 let written_anywhere (g : Callgraph.t) cell_name =
   List.exists
-    (fun name ->
-      match Callgraph.find_def g name with
-      | Some d ->
-          List.exists
-            (fun (mu : Callgraph.mutation) ->
-              String.equal mu.Callgraph.cell cell_name)
-            d.Callgraph.mutations
-      | None -> false)
-    g.Callgraph.def_order
+    (fun (d : Callgraph.def) ->
+      List.exists
+        (fun (mu : Callgraph.mutation) ->
+          String.equal mu.Callgraph.cell cell_name)
+        d.Callgraph.mutations)
+    g.Callgraph.sorted_defs
 
-let race_findings (g : Callgraph.t) p =
+let race_findings (g : Callgraph.t) pooled =
   let cells =
     List.sort
       (fun (a : Callgraph.cell) b ->
@@ -192,7 +178,7 @@ let race_findings (g : Callgraph.t) p =
       if c.Callgraph.kind = Callgraph.Atomic then []
       else
         let name = c.Callgraph.cell_name in
-        let accesses = cell_accesses g p name in
+        let accesses = cell_accesses g pooled name in
         if accesses = [] || not (written_anywhere g name) then []
         else
           let cell_where =
@@ -209,9 +195,9 @@ let race_findings (g : Callgraph.t) p =
             let seen = Hashtbl.create 8 in
             List.filter_map
               (fun a ->
-                if Hashtbl.mem seen a.acc_def then None
+                if Hashtbl.mem seen a.acc_def.Callgraph.name then None
                 else begin
-                  Hashtbl.add seen a.acc_def ();
+                  Hashtbl.add seen a.acc_def.Callgraph.name ();
                   let what =
                     match a.acc_via with
                     | Some via -> Printf.sprintf "write (%s)" via
@@ -219,13 +205,13 @@ let race_findings (g : Callgraph.t) p =
                   in
                   Some
                     (Finding.v ~rule:"deep-race" ~severity:Finding.Error
-                       ~file:a.acc_file ~loc:a.acc_loc
+                       ~file:a.acc_def.Callgraph.file ~loc:a.acc_loc
                        ~suggestion:suggestion_race
                        (Printf.sprintf
                           "possible data race on %s: unguarded %s on the \
                            pool (job chain: %s)"
                           cell_where what
-                          (job_chain g p a.acc_def)))
+                          (job_chain pooled a.acc_def)))
                 end)
               unguarded
           else
@@ -241,7 +227,7 @@ let race_findings (g : Callgraph.t) p =
             | Some inter, a0 :: _ :: _ when SS.is_empty inter ->
                 [
                   Finding.v ~rule:"deep-race" ~severity:Finding.Error
-                    ~file:a0.acc_file ~loc:a0.acc_loc
+                    ~file:a0.acc_def.Callgraph.file ~loc:a0.acc_loc
                     ~suggestion:suggestion_race
                     (Printf.sprintf
                        "inconsistent guards on %s: pooled accesses hold \
@@ -264,45 +250,27 @@ let race_findings (g : Callgraph.t) p =
 type edge = { e_from : string; e_to : string; e_loc : Location.t; e_file : string }
 
 let may_acquire (g : Callgraph.t) =
-  let may = Hashtbl.create 64 in
-  List.iter
-    (fun name ->
-      match Callgraph.find_def g name with
-      | Some d ->
-          Hashtbl.replace may name
-            (SS.of_list
-               (List.filter_map
-                  (fun (pe : Callgraph.protect_event) ->
-                    if Callgraph.mutex_defined g pe.Callgraph.lock then
-                      Some pe.Callgraph.lock
-                    else None)
-                  d.Callgraph.protects))
-      | None -> ())
-    g.Callgraph.def_order;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun name ->
-        match Callgraph.find_def g name with
-        | Some d ->
-            let cur = Option.value (Hashtbl.find_opt may name) ~default:SS.empty in
-            let next =
-              List.fold_left
-                (fun acc (r : Callgraph.reference) ->
-                  match Hashtbl.find_opt may r.Callgraph.target with
-                  | Some s -> SS.union acc s
-                  | None -> acc)
-                cur d.Callgraph.refs
-            in
-            if not (SS.equal next cur) then begin
-              Hashtbl.replace may name next;
-              changed := true
-            end
-        | None -> ())
-      g.Callgraph.def_order
-  done;
-  may
+  Flow.fixpoint g
+    ~init:(fun d ->
+      Some
+        (SS.of_list
+           (List.filter_map
+              (fun (pe : Callgraph.protect_event) ->
+                if Callgraph.mutex_defined g pe.Callgraph.lock then
+                  Some pe.Callgraph.lock
+                else None)
+              d.Callgraph.protects)))
+    ~step:(fun may d ->
+      let cur = Option.value (may d.Callgraph.name) ~default:SS.empty in
+      let next =
+        List.fold_left
+          (fun acc (r : Callgraph.reference) ->
+            match may r.Callgraph.target with
+            | Some s -> SS.union acc s
+            | None -> acc)
+          cur d.Callgraph.refs
+      in
+      if SS.equal next cur then None else Some next)
 
 let order_edges (g : Callgraph.t) may =
   let edges = Hashtbl.create 16 in
@@ -314,31 +282,28 @@ let order_edges (g : Callgraph.t) may =
     then Hashtbl.add edges (e_from, e_to) { e_from; e_to; e_loc; e_file }
   in
   List.iter
-    (fun name ->
-      match Callgraph.find_def g name with
-      | Some d ->
+    (fun (d : Callgraph.def) ->
+      List.iter
+        (fun (pe : Callgraph.protect_event) ->
           List.iter
-            (fun (pe : Callgraph.protect_event) ->
-              List.iter
-                (fun h ->
-                  add h pe.Callgraph.lock pe.Callgraph.ploc d.Callgraph.file)
-                pe.Callgraph.outer)
-            d.Callgraph.protects;
-          List.iter
-            (fun (r : Callgraph.reference) ->
-              if r.Callgraph.rheld <> [] then
-                match Hashtbl.find_opt may r.Callgraph.target with
-                | Some acq ->
-                    List.iter
-                      (fun h ->
-                        SS.iter
-                          (fun m -> add h m r.Callgraph.rloc d.Callgraph.file)
-                          acq)
-                      r.Callgraph.rheld
-                | None -> ())
-            d.Callgraph.refs
-      | None -> ())
-    g.Callgraph.def_order;
+            (fun h ->
+              add h pe.Callgraph.lock pe.Callgraph.ploc d.Callgraph.file)
+            pe.Callgraph.outer)
+        d.Callgraph.protects;
+      List.iter
+        (fun (r : Callgraph.reference) ->
+          if r.Callgraph.rheld <> [] then
+            match may r.Callgraph.target with
+            | Some acq ->
+                List.iter
+                  (fun h ->
+                    SS.iter
+                      (fun m -> add h m r.Callgraph.rloc d.Callgraph.file)
+                      acq)
+                  r.Callgraph.rheld
+            | None -> ())
+        d.Callgraph.refs)
+    g.Callgraph.sorted_defs;
   List.sort
     (fun a b ->
       match String.compare a.e_from b.e_from with
@@ -398,7 +363,6 @@ let cycle_findings edges =
     nodes
 
 let findings (g : Callgraph.t) =
-  let p = compute_pooled g in
-  let races = race_findings g p in
+  let races = race_findings g (compute_pooled g) in
   let cycles = cycle_findings (order_edges g (may_acquire g)) in
   races @ cycles

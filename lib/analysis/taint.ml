@@ -13,9 +13,8 @@
    [Metrics.record] is not nondeterministic because the metrics file
    timestamps itself.
 
-   Propagation runs in synchronized rounds (breadth-first over the call
-   graph), so each tainted def's recorded witness is a shortest chain
-   and the result is independent of traversal order. *)
+   Marks propagate callee -> caller over references on {!Flow.fixpoint},
+   so each recorded witness is a shortest chain. *)
 
 let source_names =
   [
@@ -34,80 +33,50 @@ type mark =
   | Via of { callee : string; vloc : Location.t }
 
 let findings ~audited (g : Callgraph.t) =
-  let marks : (string, mark) Hashtbl.t = Hashtbl.create 64 in
-  let def name = Callgraph.find_def g name in
   let audited_def name =
-    match def name with
+    match Callgraph.find_def g name with
     | Some d -> audited d.Callgraph.file
     | None -> false
   in
-  (* round 0: defs referencing a source directly *)
-  List.iter
-    (fun name ->
-      match def name with
-      | None -> ()
-      | Some d -> (
-          match
-            List.find_opt
-              (fun (r : Callgraph.reference) -> is_source r.target)
-              d.Callgraph.refs
-          with
-          | Some r ->
-              Hashtbl.replace marks name
+  let marks =
+    Flow.fixpoint g
+      ~init:(fun d ->
+        List.find_map
+          (fun (r : Callgraph.reference) ->
+            if is_source r.target then
+              Some
                 (Direct { src = r.Callgraph.target; dloc = r.Callgraph.rloc })
-          | None -> ()))
-    g.Callgraph.def_order;
-  (* later rounds: defs referencing an already-tainted, non-audited def.
-     Additions are collected against the previous round's marks, so the
-     fixpoint is breadth-first and order-independent. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let additions =
-      List.filter_map
-        (fun name ->
-          if Hashtbl.mem marks name then None
-          else
-            match def name with
-            | None -> None
-            | Some d ->
-                List.find_map
-                  (fun (r : Callgraph.reference) ->
-                    if
-                      Hashtbl.mem marks r.Callgraph.target
-                      && not (audited_def r.Callgraph.target)
-                    then
-                      Some
-                        ( name,
-                          Via
-                            {
-                              callee = r.Callgraph.target;
-                              vloc = r.Callgraph.rloc;
-                            } )
-                    else None)
-                  d.Callgraph.refs)
-        g.Callgraph.def_order
-    in
-    List.iter
-      (fun (name, mark) ->
-        changed := true;
-        Hashtbl.replace marks name mark)
-      additions
-  done;
+            else None)
+          d.Callgraph.refs)
+      ~step:(fun marked d ->
+        if Option.is_some (marked d.Callgraph.name) then None
+        else
+          List.find_map
+            (fun (r : Callgraph.reference) ->
+              if
+                Option.is_some (marked r.Callgraph.target)
+                && not (audited_def r.Callgraph.target)
+              then
+                Some
+                  (Via { callee = r.Callgraph.target; vloc = r.Callgraph.rloc })
+              else None)
+            d.Callgraph.refs)
+  in
   let rec chain_of name fuel =
-    let disp = Callgraph.display_name (Callgraph.strip_stdlib name) in
+    let disp = Flow.human name in
     if fuel = 0 then [ disp; "..." ]
     else
-      match Hashtbl.find_opt marks name with
+      match marks name with
       | Some (Direct { src; _ }) ->
           [ disp; Callgraph.strip_stdlib src ]
       | Some (Via { callee; _ }) -> disp :: chain_of callee (fuel - 1)
       | None -> [ disp ]
   in
   List.filter_map
-    (fun name ->
-      match (Hashtbl.find_opt marks name, def name) with
-      | Some mark, Some d ->
+    (fun (d : Callgraph.def) ->
+      match marks d.Callgraph.name with
+      | None -> None
+      | Some mark ->
           let loc =
             match mark with
             | Direct { dloc; _ } -> dloc
@@ -121,6 +90,5 @@ let findings ~audited (g : Callgraph.t) =
                   file under deep-nondet in lint.allow"
                (Printf.sprintf "nondeterminism reaches %s: %s"
                   d.Callgraph.display
-                  (String.concat " -> " (chain_of name 12))))
-      | _ -> None)
-    g.Callgraph.def_order
+                  (String.concat " -> " (chain_of d.Callgraph.name 12)))))
+    g.Callgraph.sorted_defs

@@ -193,6 +193,15 @@ let test_allow_rejects_garbage () =
   | Error msg ->
       check_bool "error names the line" true (contains msg "lint.allow:1")
 
+let test_allow_unreadable () =
+  let dir = Filename.temp_file "faulty_search_allow" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  match Allow.load dir with
+  | Ok _ -> Alcotest.fail "a directory loaded as an allowlist"
+  | Error msg ->
+      check_bool "error names the path" true (contains msg (dir ^ ": "))
+
 (* ------------------------------------------------------------------ *)
 (* Driver determinism on a real (temporary) tree *)
 
@@ -264,6 +273,7 @@ let () =
         [
           Alcotest.test_case "parse + permits" `Quick test_allow_parse;
           Alcotest.test_case "rejects garbage" `Quick test_allow_rejects_garbage;
+          Alcotest.test_case "unreadable file" `Quick test_allow_unreadable;
         ] );
       ( "driver",
         [

@@ -156,6 +156,41 @@ let test_race () =
      contains f.Finding.message "B.leak"
      && contains f.Finding.message "B.bad{B.submit}")
 
+(* Two pooled roots reach the racy writer [c]: one through two wrappers,
+   one directly.  The job chain is the shortest path, whichever root
+   sorts first. *)
+let test_race_shortest_chain () =
+  with_ocamlc @@ fun () ->
+  let root =
+    make_tree
+      [
+        ( "lib/z.ml",
+          "let[@pool_entry] submit f = f ()\n\
+           let cell = ref 0\n\
+           let c () = cell := !cell + 1\n\
+           let b2 () = c ()\n\
+           let b1 () = b2 ()\n\
+           let a_root () = submit (fun () -> b1 ())\n\
+           let z_root () = submit (fun () -> c ())\n" );
+      ]
+  in
+  check_bool "fixture compiles" true (compile root [ "lib/z.ml" ]);
+  let findings, _ = collect root in
+  match by_rule "deep-race" findings with
+  | [ f ] ->
+      check_int "at the write in c" 3 f.Finding.line;
+      check_bool "shortest job chain" true
+        (let contains s sub =
+           let n = String.length sub in
+           let rec go i =
+             i + n <= String.length s
+             && (String.equal (String.sub s i n) sub || go (i + 1))
+           in
+           go 0
+         in
+         contains f.Finding.message "(job chain: Z.z_root{Z.submit} -> Z.c)")
+  | fs -> Alcotest.failf "expected one deep-race finding, got %d" (List.length fs)
+
 let test_lock_order () =
   with_ocamlc @@ fun () ->
   let root =
@@ -324,6 +359,8 @@ let () =
       ( "lockset",
         [
           Alcotest.test_case "unguarded pooled ref" `Quick test_race;
+          Alcotest.test_case "shortest job chain" `Quick
+            test_race_shortest_chain;
           Alcotest.test_case "two-mutex cycle" `Quick test_lock_order;
         ] );
       ( "driver",

@@ -217,6 +217,14 @@ let test_budget_parse () =
   | Error msg -> check_bool "non-int rejected" true (contains msg "lint.budget:1")
   | Ok _ -> Alcotest.fail "non-integer count accepted"
 
+let test_budget_unreadable () =
+  let path = Filename.concat (make_tree []) "lint.budget" in
+  Sys.mkdir path 0o755;
+  match Budget.load path with
+  | Ok _ -> Alcotest.fail "a directory loaded as a budget file"
+  | Error msg ->
+      check_bool "error names the path" true (contains msg (path ^ ": "))
+
 let test_hotpath_jobs_invariance () =
   with_ocamlc @@ fun () ->
   let root =
@@ -277,6 +285,7 @@ let () =
         [
           Alcotest.test_case "stale entries" `Quick test_stale_budget;
           Alcotest.test_case "parse contract" `Quick test_budget_parse;
+          Alcotest.test_case "unreadable file" `Quick test_budget_unreadable;
         ] );
       ( "driver",
         [
