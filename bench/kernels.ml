@@ -1,8 +1,9 @@
-(* Kernel microbenchmarks: the lazy reference paths vs the compiled
-   flat-array paths introduced by the raw-speed pass, plus the chunked
-   sweep-grid dispatch.  Hand-rolled timing (median-free, quota-driven
-   mean) so the CI job stays cheap and dependency-free; the Bechamel
-   suite in main.ml remains the precise instrument.
+(* Kernel microbenchmarks: the reference paths (the memoised turning
+   sequences, [Adversary.reference]) vs the compiled flat-array paths
+   production runs, plus the chunked sweep-grid dispatch.  Hand-rolled
+   timing (median-free, quota-driven mean) so the CI job stays cheap
+   and dependency-free; the Bechamel suite in main.ml remains the
+   precise instrument.
 
    Writes BENCH_kernels.json (schema below) and appends one line to
    results/bench_history.jsonl via Metrics.append_history, so the perf
@@ -26,10 +27,10 @@
    or closure shows up as >= 2).
 
    The benchmark compares steady-state evaluation: both paths are
-   warmed first, so the lazy side pays its per-access mutex + hashtable
-   probe and the compiled side its array reads — which is exactly the
-   trade the adversary's inner loop sees (the prefix is re-probed once
-   per candidate target). *)
+   warmed first, so the reference side pays its per-access mutex +
+   hashtable probe and the compiled side its array reads — which is
+   exactly the trade the adversary's inner loop sees (the prefix is
+   re-probed once per candidate target). *)
 
 module FS = Faulty_search
 
@@ -98,16 +99,17 @@ let adversary_scan () =
   let trs =
     Array.map FS.Trajectory.compile (FS.Mray_exponential.itineraries strat)
   in
-  let run kernel () = FS.Adversary.worst_case trs ~f:1 ~kernel ~n:50. () in
-  let out_lazy = run `Lazy () and out_compiled = run `Compiled () in
-  assert (Float.equal out_lazy.FS.Adversary.ratio out_compiled.FS.Adversary.ratio);
+  let reference () = FS.Adversary.reference trs ~f:1 ~n:50. () in
+  let compiled () = FS.Adversary.worst_case trs ~f:1 ~n:50. () in
+  let out_ref = reference () and out_compiled = compiled () in
+  assert (Float.equal out_ref.FS.Adversary.ratio out_compiled.FS.Adversary.ratio);
   assert (
-    FS.World.equal_point out_lazy.FS.Adversary.witness
+    FS.World.equal_point out_ref.FS.Adversary.witness
       out_compiled.FS.Adversary.witness);
   {
     name = "adversary/worst-case-k3-f1-n50";
-    baseline_ns = time_ns ~quota:!quota (run `Lazy);
-    candidate_ns = time_ns ~quota:!quota (run `Compiled);
+    baseline_ns = time_ns ~quota:!quota reference;
+    candidate_ns = time_ns ~quota:!quota compiled;
   }
 
 (* --- kernel 3: sweep-grid dispatch granularity ---------------------- *)

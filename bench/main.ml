@@ -75,19 +75,6 @@ let guarded_opt pool ~id ~width ~f items =
        | Ok row -> row
        | Error err -> Some (err_row ~id ~width err))
 
-(* closed-form bounds show up in several tables; memoise them in a
-   domain-safe cache keyed by the instance *)
-let bound_cache : (int * int * int, float) FS.Memo.t = FS.Memo.create ()
-
-let a_mray ~m ~k ~f =
-  FS.Memo.find_or_add bound_cache (m, k, f) (fun () ->
-      FS.Formulas.a_mray ~m ~k ~f)
-
-let line_cache : (int * int, float) FS.Memo.t = FS.Memo.create ()
-
-let a_line ~k ~f =
-  FS.Memo.find_or_add line_cache (k, f) (fun () -> FS.Formulas.a_line ~k ~f)
-
 let simulate_ratio ?alpha ~m ~k ~f ~n () =
   let problem = FS.Problem.make ~m ~k ~f ~horizon:n () in
   let solution = FS.Solve.solve ?alpha problem in
@@ -112,7 +99,7 @@ let t1_line_ratio pool =
   guarded pool ~id:"T1" ~width:9
     ~f:(fun (k, f) ->
       let p = FS.Params.line ~k ~f in
-      let bound = a_line ~k ~f in
+      let bound = FS.Formulas.a_line ~k ~f in
       let simulated = simulate_ratio ~m:2 ~k ~f ~n () in
       let exact =
         let problem = FS.Problem.make ~m:2 ~k ~f ~horizon:n () in
@@ -221,7 +208,7 @@ let t3_mray_ratio pool =
   guarded pool ~id:"T3" ~width:8
     ~f:(fun (m, k, f) ->
       let p = FS.Params.make ~m ~k ~f in
-      let bound = a_mray ~m ~k ~f in
+      let bound = FS.Formulas.a_mray ~m ~k ~f in
       let simulated = simulate_ratio ~m ~k ~f ~n () in
       let strat = FS.Mray_exponential.make p in
       let turns = FS.Orc_cover.of_mray_group strat in
@@ -268,7 +255,7 @@ let t4_parallel_rays pool =
         :: List.map
              (fun k ->
                if k >= m then "1"
-               else T.cell_f ~decimals:4 (a_mray ~m ~k ~f:0))
+               else T.cell_f ~decimals:4 (FS.Formulas.a_mray ~m ~k ~f:0))
              [ 1; 2; 3; 4; 5 ]
       in
       T.add_row tbl row)
@@ -291,7 +278,7 @@ let t4_parallel_rays pool =
       let out = FS.Adversary.worst_case trs ~f:0 ~n:400. () in
       [
         T.cell_i m; T.cell_i k;
-        T.cell_f ~decimals:6 (a_mray ~m ~k ~f:0);
+        T.cell_f ~decimals:6 (FS.Formulas.a_mray ~m ~k ~f:0);
         T.cell_f ~decimals:6 out.FS.Adversary.ratio;
       ])
     [ (3, 2); (4, 2); (4, 3); (5, 3); (6, 4) ]
@@ -522,7 +509,7 @@ let t6_phase () =
                    | FS.Params.Unsolvable -> "x"
                    | FS.Params.Ratio_one -> "1"
                    | FS.Params.Searching ->
-                       T.cell_f ~decimals:2 (a_mray ~m ~k ~f))
+                       T.cell_f ~decimals:2 (FS.Formulas.a_mray ~m ~k ~f))
                [ 0; 1; 2; 3 ]
         in
         T.add_row tbl row
@@ -577,7 +564,7 @@ let t7_classics pool =
         Printf.sprintf "k=%d f=%d" k f;
         T.cell_f ~decimals:4 naive_ratio;
         T.cell_f ~decimals:4 optimal;
-        T.cell_f ~decimals:4 (a_line ~k ~f);
+        T.cell_f ~decimals:4 (FS.Formulas.a_line ~k ~f);
       ])
     [ (3, 1); (5, 2); (7, 3) ]
   |> List.iter (T.add_row tbl2);
@@ -602,7 +589,7 @@ let f4_horizon pool =
      points dominate the suite's sequential wall-clock *)
   FS.Shard.grid2 [ (2, 3, 1); (3, 2, 0) ] [ 1e2; 1e3; 1e4; 1e5 ]
   |> guarded pool ~id:"F4" ~width:4 ~f:(fun ((m, k, f), n) ->
-         let bound = a_mray ~m ~k ~f in
+         let bound = FS.Formulas.a_mray ~m ~k ~f in
          let r = simulate_ratio ~m ~k ~f ~n () in
          [
            Printf.sprintf "m=%d k=%d f=%d" m k f;

@@ -126,7 +126,7 @@ let simulate_cmd =
 (* certify                                                             *)
 
 let lambda_arg =
-  let doc = "Claimed competitive ratio to test." in
+  let doc = "Claimed competitive ratio to test; must exceed 1." in
   Arg.(required & opt (some float) None & info [ "lambda" ] ~docv:"L" ~doc)
 
 let jobs_arg =
@@ -143,18 +143,6 @@ let grid_arg =
   in
   Arg.(value & opt (some int) None & info [ "grid" ] ~docv:"C" ~doc)
 
-let kernel_arg =
-  let doc =
-    "Inner-loop implementation: $(b,compiled) (flat-array fast path, the \
-     default) or $(b,lazy) (the memoised reference path).  The two \
-     perform the same float operations in the same order, so all outputs \
-     are byte-identical."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("compiled", `Compiled); ("lazy", `Lazy) ]) `Compiled
-    & info [ "kernel" ] ~docv:"KERNEL" ~doc)
-
 let check_jobs = function
   | Some j when j < 1 ->
       Format.eprintf "--jobs must be at least 1@.";
@@ -165,9 +153,14 @@ let json_out_arg =
   let doc = "Also write the certificate as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let certify_run m k f n lambda json_out jobs grid kernel =
+let certify_run m k f n lambda json_out jobs grid =
   with_params m k f @@ fun p ->
   if not (check_jobs jobs) then exit_usage
+  else if not (lambda > 1.) then begin
+    (* also catches nan, which fails every comparison *)
+    Format.eprintf "certify: need --lambda > 1@.";
+    exit_usage
+  end
   else
   match FS.Params.regime p with
   | FS.Params.Ratio_one | FS.Params.Unsolvable ->
@@ -195,11 +188,10 @@ let certify_run m k f n lambda json_out jobs grid kernel =
       in
       let verdicts =
         if m = 2 then
-          FS.Certificate.check_line_sharded ?jobs ~kernel ~turns ~f ~lambdas
-            ~n ()
+          FS.Certificate.check_line_sharded ?jobs ~turns ~f ~lambdas ~n ()
         else
-          FS.Certificate.check_orc_sharded ?jobs ~kernel ~turns ~demand:q
-            ~lambdas ~n ()
+          FS.Certificate.check_orc_sharded ?jobs ~turns ~demand:q ~lambdas ~n
+            ()
       in
       let verdict = snd (List.hd verdicts) in
       Format.printf "bound:   %.6f@." bound;
@@ -255,7 +247,7 @@ let certify_cmd =
     (Cmd.info "certify" ~doc)
     Term.(
       const certify_run $ m_arg $ k_arg $ f_arg $ n_arg $ lambda_arg
-      $ json_out_arg $ jobs_arg $ grid_arg $ kernel_arg)
+      $ json_out_arg $ jobs_arg $ grid_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recheck                                                             *)
@@ -364,8 +356,7 @@ let row_of_json = function
       else Error "sweep: malformed journalled row")
   | _ -> Error "sweep: expected null or a cell list"
 
-let sweep_run m k f n samples jobs chaos_seed retries checkpoint out kernel
-    chunk =
+let sweep_run m k f n samples jobs chaos_seed retries checkpoint out chunk =
   with_params m k f @@ fun p ->
   if not (check_jobs jobs) then exit_usage
   else if samples < 2 then begin
@@ -438,7 +429,7 @@ let sweep_run m k f n samples jobs chaos_seed retries checkpoint out kernel
               let outcome =
                 FS.Adversary.worst_case
                   (FS.Solve.trajectories solution)
-                  ~f ~kernel ~n ()
+                  ~f ~n ()
               in
               Some
                 [
@@ -479,7 +470,7 @@ let sweep_cmd =
     Term.(
       const sweep_run $ m_arg $ k_arg $ f_arg $ n_arg $ samples_arg $ jobs_arg
       $ chaos_seed_arg $ retries_arg $ checkpoint_arg $ sweep_out_arg
-      $ kernel_arg $ chunk_arg)
+      $ chunk_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)

@@ -12,7 +12,10 @@ module Adversary = Search_sim.Adversary
 module Group = Search_strategy.Group
 module Turning = Search_strategy.Turning
 module Normalize = Search_strategy.Normalize
+module Line_zigzag = Search_strategy.Line_zigzag
+module Orc_round = Search_strategy.Orc_round
 module Mray = Search_strategy.Mray_exponential
+module Interval1 = Search_numerics.Interval1
 module Symmetric = Search_covering.Symmetric
 module Orc = Search_covering.Orc
 module Certificate = Search_covering.Certificate
@@ -39,6 +42,9 @@ type ctx = {
   lambda : float;
   time_horizon : float;  (** generous horizon for detection queries *)
   cover_n : float;  (** coverage / certificate window *)
+  worst_case : Adversary.outcome Lazy.t;
+      (** the adversary scan over [trajectories], run at most once *)
+  reference : Adversary.outcome Lazy.t;  (** the same scan's reference *)
 }
 
 let make_ctx (case : Case.t) =
@@ -46,17 +52,30 @@ let make_ctx (case : Case.t) =
   let group = Group.optimal ~alpha:(Gen.alpha case) params in
   let world = World.rays case.m in
   let bound = F.of_params params in
+  let predicted_ratio = group.Group.predicted_ratio in
+  let trajectories = Group.trajectories group in
+  let cover_n = Float.min case.horizon 60. in
+  (* a far-from-optimal base can design ratios well above the scanner's
+     default escape cap of 256; the cap must dominate the design or every
+     legitimately-slow detection reads as an escape *)
+  let ratio_cap =
+    Float.max Adversary.default_ratio_cap (2. *. predicted_ratio)
+  and n = Float.min cover_n 40. in
   {
     case;
     params;
-    predicted_ratio = group.Group.predicted_ratio;
-    trajectories = Group.trajectories group;
+    predicted_ratio;
+    trajectories;
     targets =
       List.map (fun (ray, dist) -> World.point world ~ray ~dist) case.targets;
     turns = Gen.turning_group case;
     lambda = Float.max 1.01 (bound *. (0.6 +. (0.8 *. case.lambda_frac)));
     time_horizon = 4. *. bound *. case.horizon;
-    cover_n = Float.min case.horizon 60.;
+    cover_n;
+    worst_case =
+      lazy (Adversary.worst_case trajectories ~f:case.f ~ratio_cap ~n ());
+    reference =
+      lazy (Adversary.reference trajectories ~f:case.f ~ratio_cap ~n ());
   }
 
 let failf fmt = Format.kasprintf (fun s -> [ s ]) fmt
@@ -284,16 +303,7 @@ let inv_byzantine ctx =
 (* sim.ratio_within_design                                             *)
 
 let inv_ratio ctx =
-  let n = Float.min ctx.cover_n 40. in
-  (* a far-from-optimal base can design ratios well above the scanner's
-     default escape cap of 256; the cap must dominate the design or every
-     legitimately-slow detection reads as an escape *)
-  let ratio_cap =
-    Float.max Adversary.default_ratio_cap (2. *. ctx.predicted_ratio)
-  in
-  let outcome =
-    Adversary.worst_case ctx.trajectories ~f:ctx.case.Case.f ~ratio_cap ~n ()
-  in
+  let outcome = Lazy.force ctx.worst_case in
   (if outcome.Adversary.ratio >= 1. -. 1e-9 then []
    else failf "adversary ratio %.17g below 1" outcome.Adversary.ratio)
   @
@@ -302,6 +312,50 @@ let inv_ratio ctx =
     failf "adversary ratio %.17g exceeds the designed ratio %.17g (witness %a)"
       outcome.Adversary.ratio ctx.predicted_ratio World.pp_point
       outcome.Adversary.witness
+
+(* ------------------------------------------------------------------ *)
+(* kernel.compiled_eq_reference                                        *)
+
+(* The production kernels (flat-array views, the allocation-free
+   adversary scan) against the reference loops over the memoised
+   sequences: every output must agree bit for bit, not just closely. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [compare_by_left] adds the left-bound kind; it alone cannot tell
+   0. from -0. *)
+let same_interval (i, (a : Interval1.t)) (j, (b : Interval1.t)) =
+  Int.equal i j && same_bits a.lo b.lo && same_bits a.hi b.hi
+  && Int.equal (Interval1.compare_by_left a b) 0
+
+let inv_kernel ctx =
+  let c = Lazy.force ctx.worst_case and r = Lazy.force ctx.reference in
+  (if
+     same_bits c.ratio r.ratio
+     && Int.equal c.witness.World.ray r.witness.World.ray
+     && same_bits c.witness.World.dist r.witness.World.dist
+     && same_bits c.detection_time r.detection_time
+     && Int.equal c.candidates_scanned r.candidates_scanned
+   then []
+   else
+     failf "adversary: worst_case %.17g at %a <> reference %.17g at %a"
+       c.ratio World.pp_point c.witness r.ratio World.pp_point r.witness)
+  @
+  let mu = (ctx.lambda -. 1.) /. 2. and within = (1., ctx.cover_n) in
+  let agree name robot compiled reference =
+    if List.equal same_interval compiled reference then []
+    else failf "%s: robot %d intervals differ from the reference" name robot
+  in
+  List.concat
+    (List.mapi
+       (fun robot t ->
+         agree "orc" robot
+           (Orc.cover_intervals_within t ~lambda:ctx.lambda ~within)
+           (Orc_round.cover_intervals_within t ~mu ~within ())
+         @ agree "line" robot
+             (Symmetric.cover_intervals_within t ~lambda:ctx.lambda ~within)
+             (Line_zigzag.cover_intervals_within t ~mu ~within))
+       (Array.to_list ctx.turns))
 
 (* ------------------------------------------------------------------ *)
 (* strategy.coverage_theorem                                           *)
@@ -342,7 +396,7 @@ let line_intervals ctx ~n =
   |> List.concat_map (fun t ->
          List.map snd
            (Symmetric.cover_intervals_within t ~lambda:ctx.lambda
-              ~within:(1., n) ()))
+              ~within:(1., n)))
 
 let cert_consistency name verdict ~intervals ~recheck ~demand ~n =
   match (verdict : Certificate.verdict) with
@@ -686,6 +740,7 @@ let catalogue : (string * (ctx -> string list)) list =
     ("engine.monotone_in_f", inv_monotone_in_f);
     ("byzantine.conservative_rule", inv_byzantine);
     ("sim.ratio_within_design", inv_ratio);
+    ("kernel.compiled_eq_reference", inv_kernel);
     ("strategy.coverage_theorem", inv_coverage_theorem);
     ("covering.cert_consistency", inv_cert);
     ("covering.profile_vs_pointwise", inv_profile);

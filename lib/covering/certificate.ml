@@ -29,19 +29,19 @@ let run_certificate setting ~turns ~demand ~lambda ~n ~coverage =
             if trace.Potential.exceeded then Refuted_potential trace
             else Not_refuted { n; delta })
 
-let check_line ?kernel ~turns ~f ~lambda ~n () =
+let check_line ~turns ~f ~lambda ~n () =
   let k = Array.length turns in
   let s = (2 * (f + 1)) - k in
   if not (0 < s && s <= k) then
     invalid_arg "Certificate.check_line: need 0 < 2(f+1)-k <= k";
   run_certificate Assigned.Line_symmetric ~turns ~demand:s ~lambda ~n
-    ~coverage:(fun () -> Symmetric.check ?kernel turns ~demand:s ~lambda ~n)
+    ~coverage:(fun () -> Symmetric.check turns ~demand:s ~lambda ~n)
 
-let check_orc ?kernel ~turns ~demand ~lambda ~n () =
+let check_orc ~turns ~demand ~lambda ~n () =
   let k = Array.length turns in
   if demand <= k then invalid_arg "Certificate.check_orc: need demand > k";
   run_certificate Assigned.Orc_setting ~turns ~demand ~lambda ~n
-    ~coverage:(fun () -> Orc.check ?kernel turns ~demand ~lambda ~n)
+    ~coverage:(fun () -> Orc.check turns ~demand ~lambda ~n)
 
 (* The λ-grid refutations are independent point evaluations sharing only
    the (mutex-memoised) turning sequences, so they shard across a domain
@@ -53,13 +53,13 @@ let check_sharded ?jobs ~lambdas check =
         ~f:(fun lambda -> (lambda, check ~lambda))
         lambdas)
 
-let check_line_sharded ?jobs ?kernel ~turns ~f ~lambdas ~n () =
+let check_line_sharded ?jobs ~turns ~f ~lambdas ~n () =
   check_sharded ?jobs ~lambdas (fun ~lambda ->
-      check_line ?kernel ~turns ~f ~lambda ~n ())
+      check_line ~turns ~f ~lambda ~n ())
 
-let check_orc_sharded ?jobs ?kernel ~turns ~demand ~lambdas ~n () =
+let check_orc_sharded ?jobs ~turns ~demand ~lambdas ~n () =
   check_sharded ?jobs ~lambdas (fun ~lambda ->
-      check_orc ?kernel ~turns ~demand ~lambda ~n ())
+      check_orc ~turns ~demand ~lambda ~n ())
 
 let lambda_grid ~lo ~hi ~count =
   if count < 1 then invalid_arg "Certificate.lambda_grid: need count >= 1";
@@ -70,7 +70,8 @@ let lambda_grid ~lo ~hi ~count =
         lo +. ((hi -. lo) *. float_of_int i /. float_of_int (count - 1)))
 
 let log_horizon_bound setting ~k ~demand ~lambda ?engage ?c () =
-  if lambda <= 1. then invalid_arg "Certificate.log_horizon_bound: lambda <= 1";
+  if not (lambda > 1.) then
+    invalid_arg "Certificate.log_horizon_bound: need lambda > 1";
   let mu = (lambda -. 1.) /. 2. in
   let engage = match engage with Some e -> e | None -> Float.max 1. mu in
   let s =

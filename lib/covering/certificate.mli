@@ -32,23 +32,20 @@ type verdict =
   | Inconclusive of string
 
 val check_line :
-  ?kernel:[ `Lazy | `Compiled ] -> turns:Search_strategy.Turning.t array
-  -> f:int -> lambda:float -> n:float -> unit -> verdict
+  turns:Search_strategy.Turning.t array -> f:int -> lambda:float -> n:float
+  -> unit -> verdict
 (** Certificate for the line problem: [k = Array.length turns] robots,
     [f] crash faults, demand [s = 2(f+1) - k] in the ±-covering setting.
-    Requires the searching regime ([0 < s <= k]).  [kernel] selects the
-    coverage evaluation path (default [`Compiled]); verdicts are
-    identical either way. *)
+    Requires the searching regime ([0 < s <= k]). *)
 
 val check_orc :
-  ?kernel:[ `Lazy | `Compiled ] -> turns:Search_strategy.Turning.t array
-  -> demand:int -> lambda:float -> n:float -> unit -> verdict
+  turns:Search_strategy.Turning.t array -> demand:int -> lambda:float
+  -> n:float -> unit -> verdict
 (** Certificate in the ORC setting with covering demand [q = demand]
     (for the m-ray problem, [q = m (f+1)]).  Requires [k < demand]. *)
 
 val check_line_sharded :
-  ?jobs:int -> ?kernel:[ `Lazy | `Compiled ]
-  -> turns:Search_strategy.Turning.t array -> f:int
+  ?jobs:int -> turns:Search_strategy.Turning.t array -> f:int
   -> lambdas:float list -> n:float -> unit -> (float * verdict) list
 (** {!check_line} over a whole λ-grid, the points sharded across a
     domain pool of [jobs] workers (default
@@ -57,8 +54,7 @@ val check_line_sharded :
     {!check_line} sequentially, at any job count. *)
 
 val check_orc_sharded :
-  ?jobs:int -> ?kernel:[ `Lazy | `Compiled ]
-  -> turns:Search_strategy.Turning.t array -> demand:int
+  ?jobs:int -> turns:Search_strategy.Turning.t array -> demand:int
   -> lambdas:float list -> n:float -> unit -> (float * verdict) list
 (** {!check_orc} over a λ-grid; same contract as
     {!check_line_sharded}. *)

@@ -1,18 +1,17 @@
 module Sweep = Search_numerics.Sweep
-module Orc_round = Search_strategy.Orc_round
 module Mray = Search_strategy.Mray_exponential
 module Turning = Search_strategy.Turning
 module Params = Search_bounds.Params
 
 let mu_of_lambda lambda =
-  if lambda <= 1. then invalid_arg "Orc: need lambda > 1";
+  if not (lambda > 1.) then invalid_arg "Orc: need lambda > 1";
   (lambda -. 1.) /. 2.
 
 module Interval1 = Search_numerics.Interval1
 
 (* Flat-array twin of [Orc_round.cover_intervals_within]: identical
    control flow and arithmetic order, so the collected intervals are
-   bit-identical to the lazy loop's. *)
+   bit-identical to the reference's. *)
 let[@hot] cover_intervals_within_compiled turns ~mu ~within:(lo, hi)
     ~max_rounds () =
   let c = Turning.compile turns in
@@ -29,26 +28,22 @@ let[@hot] cover_intervals_within_compiled turns ~mu ~within:(lo, hi)
   in
   collect 1 []
 
-let cover_intervals_within ?(kernel = `Compiled) turns ~lambda ~within =
-  let mu = mu_of_lambda lambda in
-  match kernel with
-  | `Lazy -> Orc_round.cover_intervals_within turns ~mu ~within ()
-  | `Compiled ->
-      cover_intervals_within_compiled turns ~mu ~within
-        ~max_rounds:1_000_000 ()
+let cover_intervals_within turns ~lambda ~within =
+  cover_intervals_within_compiled turns ~mu:(mu_of_lambda lambda) ~within
+    ~max_rounds:1_000_000 ()
 
-let group_intervals ?kernel turns_array ~lambda ~within =
+let group_intervals turns_array ~lambda ~within =
   Array.to_list turns_array
   |> List.concat_map (fun turns ->
-         cover_intervals_within ?kernel turns ~lambda ~within |> List.map snd)
+         cover_intervals_within turns ~lambda ~within |> List.map snd)
 
-let check ?kernel turns_array ~demand ~lambda ~n =
+let check turns_array ~demand ~lambda ~n =
   if n < 1. then invalid_arg "Orc.check: need n >= 1";
-  let ivs = group_intervals ?kernel turns_array ~lambda ~within:(1., n) in
+  let ivs = group_intervals turns_array ~lambda ~within:(1., n) in
   Sweep.check ~demand ~within:(1., n) ivs
 
-let max_covered ?kernel turns_array ~demand ~lambda ~n =
-  match check ?kernel turns_array ~demand ~lambda ~n with
+let max_covered turns_array ~demand ~lambda ~n =
+  match check turns_array ~demand ~lambda ~n with
   | Sweep.Covered -> n
   | Sweep.Gap { from_; _ } -> Float.max 1. from_
 

@@ -8,24 +8,25 @@
     ray labels, keep the rounds.  This module builds the interval multiset
     of a round-strategy group and checks the demand.
 
-    [kernel] selects the evaluation path as in {!Symmetric}: [`Compiled]
-    (default) walks flat-array prefix views, [`Lazy] the memoised
-    sequences; the outputs are bit-identical. *)
+    As in {!Symmetric}, every entry point walks flat-array prefix views;
+    the reference over the memoised sequences is
+    {!Search_strategy.Orc_round.cover_intervals_within}, and the outputs
+    are bit-identical. *)
 
 val cover_intervals_within :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t -> lambda:float
-  -> within:float * float -> (int * Search_numerics.Interval1.t) list
+  Search_strategy.Turning.t -> lambda:float -> within:float * float
+  -> (int * Search_numerics.Interval1.t) list
 (** One robot's fruitful round intervals [[t''_i, t_i]]
     ([t''_i = (t1 + ... + t_{i-1}) / mu]) intersecting the window. *)
 
 val check :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t array
-  -> demand:int -> lambda:float -> n:float -> Search_numerics.Sweep.verdict
+  Search_strategy.Turning.t array -> demand:int -> lambda:float -> n:float
+  -> Search_numerics.Sweep.verdict
 (** Is [[1, n]] [demand]-fold λ-covered in the ORC setting? *)
 
 val max_covered :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t array
-  -> demand:int -> lambda:float -> n:float -> float
+  Search_strategy.Turning.t array -> demand:int -> lambda:float -> n:float
+  -> float
 (** Largest fully covered prefix of [[1, n]], as in {!Symmetric.max_covered}. *)
 
 val of_mray : Search_strategy.Mray_exponential.t -> robot:int -> Search_strategy.Turning.t

@@ -1,32 +1,16 @@
 module Interval1 = Search_numerics.Interval1
 module Sweep = Search_numerics.Sweep
-module Line_zigzag = Search_strategy.Line_zigzag
 module Turning = Search_strategy.Turning
 
 let mu_of_lambda lambda =
-  if lambda <= 1. then invalid_arg "Symmetric: need lambda > 1";
+  if not (lambda > 1.) then invalid_arg "Symmetric: need lambda > 1";
   (lambda -. 1.) /. 2.
 
-let cover_intervals_within_lazy turns ~lambda ~within:(lo, hi) ~max_rounds () =
-  let mu = mu_of_lambda lambda in
-  let rec collect i acc =
-    if i > max_rounds then List.rev acc
-    else
-      let t'' = Line_zigzag.cover_threshold turns ~mu ~i in
-      (* thresholds are nondecreasing: once past the window, stop *)
-      if Turning.partial_sum turns i /. mu > hi then List.rev acc
-      else
-        let ti = Turning.get turns i in
-        if t'' <= ti && ti >= lo && t'' <= hi then
-          collect (i + 1) ((i, Interval1.closed t'' ti) :: acc)
-        else collect (i + 1) acc
-  in
-  collect 1 []
-
-(* Same loop through the flat-array view: each round costs three array
-   reads instead of mutex+hashtable probes.  The arithmetic (including
-   the Kahan partial sums) is replayed in the identical order, so the
-   collected intervals are bit-identical to the lazy loop's. *)
+(* [Line_zigzag.cover_intervals_within] through the flat-array view:
+   each round costs three array reads instead of mutex+hashtable probes.
+   The arithmetic (including the Kahan partial sums) is replayed in the
+   identical order, so the collected intervals are bit-identical to the
+   reference's. *)
 let[@hot] cover_intervals_within_compiled turns ~lambda ~within:(lo, hi)
     ~max_rounds
     () =
@@ -47,26 +31,21 @@ let[@hot] cover_intervals_within_compiled turns ~lambda ~within:(lo, hi)
   in
   collect 1 []
 
-let cover_intervals_within ?(kernel = `Compiled) turns ~lambda ~within
-    ?(max_rounds = 1_000_000) () =
-  match kernel with
-  | `Lazy -> cover_intervals_within_lazy turns ~lambda ~within ~max_rounds ()
-  | `Compiled ->
-      cover_intervals_within_compiled turns ~lambda ~within ~max_rounds ()
+let cover_intervals_within turns ~lambda ~within =
+  cover_intervals_within_compiled turns ~lambda ~within ~max_rounds:1_000_000 ()
 
-let group_intervals ?kernel turns_array ~lambda ~within =
+let group_intervals turns_array ~lambda ~within =
   Array.to_list turns_array
   |> List.concat_map (fun turns ->
-         cover_intervals_within ?kernel turns ~lambda ~within ()
-         |> List.map snd)
+         cover_intervals_within turns ~lambda ~within |> List.map snd)
 
-let check ?kernel turns_array ~demand ~lambda ~n =
+let check turns_array ~demand ~lambda ~n =
   if n < 1. then invalid_arg "Symmetric.check: need n >= 1";
-  let ivs = group_intervals ?kernel turns_array ~lambda ~within:(1., n) in
+  let ivs = group_intervals turns_array ~lambda ~within:(1., n) in
   Sweep.check ~demand ~within:(1., n) ivs
 
-let max_covered ?kernel turns_array ~demand ~lambda ~n =
-  match check ?kernel turns_array ~demand ~lambda ~n with
+let max_covered turns_array ~demand ~lambda ~n =
+  match check turns_array ~demand ~lambda ~n with
   | Sweep.Covered -> n
   | Sweep.Gap { from_; _ } ->
       (* the gap's left end bounds the covered prefix: everything strictly

@@ -11,30 +11,30 @@
     turning-sequence strategies into interval multisets and checks the
     demand with the sweep line.
 
-    Every entry point takes an optional [kernel]: [`Compiled] (default)
-    walks flat-array prefix views ({!Search_strategy.Turning.compiled}),
-    [`Lazy] walks the mutex-memoised sequences directly.  The two are
-    bit-identical — the compiled view replays the same arithmetic in the
-    same order — and the CI perf-smoke job diffs their outputs. *)
+    Every entry point walks flat-array prefix views
+    ({!Search_strategy.Turning.compiled}).  The reference loop over the
+    mutex-memoised sequences is
+    {!Search_strategy.Line_zigzag.cover_intervals_within}; the compiled
+    view replays its arithmetic in the same order, so the intervals are
+    bit-identical (fuzz invariant [kernel.compiled_eq_reference]). *)
 
 val cover_intervals_within :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t -> lambda:float
-  -> within:float * float -> ?max_rounds:int -> unit
+  Search_strategy.Turning.t -> lambda:float -> within:float * float
   -> (int * Search_numerics.Interval1.t) list
 (** One robot's λ-cover [Cov_mu(T)] restricted to the window: the fruitful
     intervals [[t''_i, t_i]] (eq. 3, [mu = (lambda-1)/2]) that intersect
     it.  Stops at the first turn whose threshold passes the window (the
-    thresholds are nondecreasing).  [max_rounds] defaults to 1_000_000. *)
+    thresholds are nondecreasing), and after at most 1_000_000 turns. *)
 
 val check :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t array
-  -> demand:int -> lambda:float -> n:float -> Search_numerics.Sweep.verdict
+  Search_strategy.Turning.t array -> demand:int -> lambda:float -> n:float
+  -> Search_numerics.Sweep.verdict
 (** Is [[1, n]] [demand]-fold λ-covered by the group?  [demand] is
     typically [Params.s] of the instance. *)
 
 val max_covered :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t array
-  -> demand:int -> lambda:float -> n:float -> float
+  Search_strategy.Turning.t array -> demand:int -> lambda:float -> n:float
+  -> float
 (** The largest [x <= n] such that [[1, x)] is [demand]-fold λ-covered:
     the sweep's gap witness is the leftmost under-covered point ([n] when
     fully covered, [1.] when not even a neighbourhood of 1 is). *)

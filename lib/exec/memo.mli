@@ -1,75 +1,42 @@
-(** Thread-safe memoisation cache.
+(** Thread-safe, size-bounded memoisation cache.
 
-    The bench grids re-evaluate the same closed-form bounds — [A(m,k,f)],
-    [alpha*], regime checks — once per table that mentions them; with the
-    grids fanned out over domains the evaluations also race.  This cache
-    is a mutex-guarded hash table: lookups and insertions are atomic, the
-    compute itself runs {e outside} the lock (so a slow miss never blocks
-    the pool, and re-entrant computes cannot deadlock).  Two domains
-    missing the same key concurrently may both compute it; the function
-    must therefore be pure, which also makes the duplication harmless —
-    first insertion wins. *)
+    A long-lived server answering arbitrary client queries must not grow
+    without bound, so the cache caps the entry count and evicts the
+    least-recently-used key; its counters (including evictions) feed the
+    daemon's [stats] response.  It is a mutex-guarded hash table threaded
+    with a recency list: lookups and insertions are atomic, the compute
+    itself runs {e outside} the lock (so a slow miss never blocks the
+    pool, and re-entrant computes cannot deadlock).  Two domains missing
+    the same key concurrently may both compute it; the function must
+    therefore be pure, which also makes the duplication harmless — first
+    insertion wins. *)
 
 type ('k, 'v) t
 
-val create : ?initial_size:int -> unit -> ('k, 'v) t
-(** [initial_size] defaults to 64 buckets. *)
+val create : capacity:int -> unit -> ('k, 'v) t
+(** At most [capacity] entries are retained.
+    @raise Search_numerics.Search_error.Error when [capacity < 1]. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** Cached value for the key, computing and caching it on a miss. *)
+(** Cached value for the key, computing and caching it on a miss — a
+    hit refreshes the key's recency; an insert over capacity evicts
+    the least-recently-used entry. *)
 
 val memoize : ('k, 'v) t -> ('k -> 'v) -> 'k -> 'v
-(** [memoize cache f] is [f] backed by [cache] — e.g.
-    [memoize c (fun (m, k, f) -> Formulas.a_mray ~m ~k ~f)]. *)
+(** [memoize cache f] is [f] backed by [cache]. *)
 
-type stats = { hits : int; misses : int; entries : int }
+type stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+  capacity : int;
+}
 
 val stats : ('k, 'v) t -> stats
-(** [misses] counts computes started, so under a concurrent duplicate
-    compute it can exceed [entries]. *)
+(** [misses] counts computes started (may exceed [entries] under
+    concurrent duplicate computes, and under eviction churn);
+    [evictions] counts entries dropped to respect [capacity]. *)
 
 val clear : ('k, 'v) t -> unit
-(** Drop all entries (statistics included). *)
-
-(** {1 Size-bounded variant}
-
-    The unbounded cache above is right for bench tables — a known, small
-    key universe evaluated once per run.  A long-lived server answering
-    arbitrary client queries must not grow without bound, so {!Lru} caps
-    the entry count and evicts the least-recently-used key; its counters
-    (including evictions) feed the daemon's [stats] response.  Same
-    locking discipline as the unbounded cache: structural operations are
-    atomic, the compute runs outside the lock, concurrent duplicate
-    computes of a pure function are harmless. *)
-module Lru : sig
-  type ('k, 'v) t
-
-  val create : capacity:int -> unit -> ('k, 'v) t
-  (** At most [capacity] entries are retained.
-      @raise Search_numerics.Search_error.Error when [capacity < 1]. *)
-
-  val capacity : ('k, 'v) t -> int
-
-  val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-  (** Cached value for the key, computing and caching it on a miss — a
-      hit refreshes the key's recency; an insert over capacity evicts
-      the least-recently-used entry. *)
-
-  val memoize : ('k, 'v) t -> ('k -> 'v) -> 'k -> 'v
-
-  type stats = {
-    hits : int;
-    misses : int;
-    evictions : int;
-    entries : int;
-    capacity : int;
-  }
-
-  val stats : ('k, 'v) t -> stats
-  (** [misses] counts computes started (may exceed [entries] under
-      concurrent duplicate computes, and under eviction churn);
-      [evictions] counts entries dropped to respect [capacity]. *)
-
-  val clear : ('k, 'v) t -> unit
-  (** Drop all entries and reset every counter. *)
-end
+(** Drop all entries and reset every counter. *)

@@ -8,7 +8,7 @@ module Budget = Search_resilience.Budget
 type t = {
   pool : Pool.t;
   spec : Supervise.spec;
-  cache : (int * int * int, Protocol.bound_payload) Memo.Lru.t;
+  cache : (int * int * int, Protocol.bound_payload) Memo.t;
   seq : int Atomic.t;  (** task-key sequence, never reused across batches *)
   served : int Atomic.t;
   sheds : int Atomic.t;
@@ -20,7 +20,7 @@ let create ~pool ?(cache_capacity = 256) ?(spec = Supervise.default) () =
   {
     pool;
     spec;
-    cache = Memo.Lru.create ~capacity:cache_capacity ();
+    cache = Memo.create ~capacity:cache_capacity ();
     seq = Atomic.make 0;
     served = Atomic.make 0;
     sheds = Atomic.make 0;
@@ -31,7 +31,7 @@ let create ~pool ?(cache_capacity = 256) ?(spec = Supervise.default) () =
 let note_shed t = Atomic.incr t.sheds
 
 let stats t =
-  let c = Memo.Lru.stats t.cache in
+  let c = Memo.stats t.cache in
   let p = Pool.stats t.pool in
   {
     Protocol.served = Atomic.get t.served;
@@ -40,11 +40,11 @@ let stats t =
     max_batch = Atomic.get t.max_batch;
     cache =
       {
-        Protocol.hits = c.Memo.Lru.hits;
-        misses = c.Memo.Lru.misses;
-        evictions = c.Memo.Lru.evictions;
-        entries = c.Memo.Lru.entries;
-        capacity = c.Memo.Lru.capacity;
+        Protocol.hits = c.Memo.hits;
+        misses = c.Memo.misses;
+        evictions = c.Memo.evictions;
+        entries = c.Memo.entries;
+        capacity = c.Memo.capacity;
       };
     pool =
       {
@@ -71,7 +71,7 @@ let params_or_invalid ~where:_ ~m ~k ~f = FS.Params.make ~m ~k ~f
 let eval_bound t meter ~m ~k ~f =
   Budget.step meter;
   let payload =
-    Memo.Lru.find_or_add t.cache (m, k, f) (fun () ->
+    Memo.find_or_add t.cache (m, k, f) (fun () ->
         let p = params_or_invalid ~where:"serve/bound" ~m ~k ~f in
         let regime = FS.Params.regime p in
         let alpha_star =

@@ -10,7 +10,7 @@
     the daemon (or even the connection) down.
 
     The [Bound] cache is shared across every client and every batch: a
-    size-bounded LRU ({!Search_exec.Memo.Lru}) whose hit/miss/eviction
+    size-bounded LRU ({!Search_exec.Memo}) whose hit/miss/eviction
     counters surface through {!stats}.  Caching never changes response
     bytes — the cached function is pure, so a hit and a recompute are
     byte-identical. *)

@@ -31,9 +31,9 @@ let sorted_dedup a =
   end
 
 (* Per-ray candidate depths, each ascending and duplicate-free.  Both
-   kernels scan rays in index order and depths in ascending order, so
-   the supremum fold visits identical (ray, depth) sequences — same
-   ratio, same witness. *)
+   [worst_case] and [reference] scan rays in index order and depths in
+   ascending order, so the supremum fold visits identical (ray, depth)
+   sequences — same ratio, same witness. *)
 let candidate_depths trajectories ~eps ~n ~time_horizon =
   if n < 1. then
     Search_error.invalid ~where:"Adversary.candidate_targets" "need n >= 1";
@@ -139,66 +139,53 @@ let[@hot] compiled_scan ~flats ~depths ~times ~f ~k ~horizon ~out =
     done
   done
 
+let outcome ~ratio ~witness ~candidates_scanned =
+  let detection_time =
+    if Float.equal ratio infinity then infinity else ratio *. witness.World.dist
+  in
+  { ratio; witness; detection_time; candidates_scanned }
+
 let worst_case trajectories ~f ?(eps = default_eps)
-    ?(ratio_cap = default_ratio_cap) ?(kernel = `Compiled) ~n () =
+    ?(ratio_cap = default_ratio_cap) ~n () =
   if Array.length trajectories = 0 then
     Search_error.invalid ~where:"Adversary.worst_case" "no robots";
   let time_horizon = ratio_cap *. n in
   let world = Trajectory.world trajectories.(0) in
   let depths = candidate_depths trajectories ~eps ~n ~time_horizon in
   let scanned = Array.fold_left (fun acc a -> acc + Array.length a) 0 depths in
-  match kernel with
-  | `Lazy ->
-      (* reference path: per-candidate option lists through [Engine] *)
-      let sup = ref Stats.sup_empty in
-      Array.iteri
-        (fun ray ds ->
-          Array.iter
-            (fun d ->
-              let target = World.point world ~ray ~dist:d in
-              let ratio =
-                Engine.detection_ratio trajectories ~f ~target ~time_horizon
-              in
-              sup := Stats.sup_add !sup ~key:target ~value:ratio)
-            ds)
-        depths;
-      let sup = !sup in
-      (match Stats.sup_witness sup with
-      | None ->
-          Search_error.invalid ~where:"Adversary.worst_case"
-            "empty candidate set"
-      | Some witness ->
-          let ratio = Stats.sup_value sup in
-          let detection_time =
-            if Float.equal ratio infinity then infinity
-            else ratio *. witness.World.dist
-          in
-          { ratio; witness; detection_time; candidates_scanned = scanned })
-  | `Compiled ->
-      if f < 0 then Search_error.invalid ~where:"Adversary.worst_case" "f < 0";
-      (* fast path: flat leg arrays, a reused scratch array for the
-         (f+1)-st smallest visit time, no per-candidate allocation.  The
-         arithmetic (visit times, the (f+1)-st order statistic, the
-         ratio) matches the lazy path bit for bit, and candidates are
-         visited in the same order, so ratio and witness agree exactly. *)
-      let flats =
-        Array.map
-          (fun tr -> Trajectory.flatten tr ~horizon:time_horizon)
-          trajectories
-      in
-      let k = Array.length trajectories in
-      let times = Array.make k infinity in
-      let out = [| neg_infinity; 0.; 0. |] in
-      compiled_scan ~flats ~depths ~times ~f ~k ~horizon:time_horizon ~out;
-      if Float.equal out.(0) neg_infinity then
-        Search_error.invalid ~where:"Adversary.worst_case"
-          "empty candidate set";
-      let witness =
-        World.point world ~ray:(int_of_float out.(1)) ~dist:out.(2)
-      in
-      let ratio = out.(0) in
-      let detection_time =
-        if Float.equal ratio infinity then infinity
-        else ratio *. witness.World.dist
-      in
-      { ratio; witness; detection_time; candidates_scanned = scanned }
+  if f < 0 then Search_error.invalid ~where:"Adversary.worst_case" "f < 0";
+  (* flat leg arrays, a reused scratch array for the (f+1)-st smallest
+     visit time, no per-candidate allocation.  The arithmetic (visit
+     times, the (f+1)-st order statistic, the ratio) matches [reference]
+     bit for bit, and candidates are visited in the same order, so ratio
+     and witness agree exactly. *)
+  let flats =
+    Array.map (fun tr -> Trajectory.flatten tr ~horizon:time_horizon) trajectories
+  in
+  let k = Array.length trajectories in
+  let times = Array.make k infinity in
+  let out = [| neg_infinity; 0.; 0. |] in
+  compiled_scan ~flats ~depths ~times ~f ~k ~horizon:time_horizon ~out;
+  if Float.equal out.(0) neg_infinity then
+    Search_error.invalid ~where:"Adversary.worst_case" "empty candidate set";
+  let witness = World.point world ~ray:(int_of_float out.(1)) ~dist:out.(2) in
+  outcome ~ratio:out.(0) ~witness ~candidates_scanned:scanned
+
+let reference trajectories ~f ?eps ?(ratio_cap = default_ratio_cap) ~n () =
+  if Array.length trajectories = 0 then
+    Search_error.invalid ~where:"Adversary.reference" "no robots";
+  let time_horizon = ratio_cap *. n in
+  let targets = candidate_targets trajectories ?eps ~n ~time_horizon () in
+  let sup =
+    List.fold_left
+      (fun sup target ->
+        Stats.sup_add sup ~key:target
+          ~value:(Engine.detection_ratio trajectories ~f ~target ~time_horizon))
+      Stats.sup_empty targets
+  in
+  match Stats.sup_witness sup with
+  | None ->
+      Search_error.invalid ~where:"Adversary.reference" "empty candidate set"
+  | Some witness ->
+      outcome ~ratio:(Stats.sup_value sup) ~witness
+        ~candidates_scanned:(List.length targets)

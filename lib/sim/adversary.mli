@@ -46,7 +46,7 @@ val compiled_scan :
   horizon:float ->
   out:float array ->
   unit
-(** The allocation-free inner loop of the [`Compiled] kernel, exposed
+(** The allocation-free inner loop of {!worst_case}, exposed
     so the bench harness can put a Gc meter directly on it.  [flats]
     are the [k] flattened trajectories, [depths] the per-ray candidate
     depths (ascending, duplicate-free), [times] a reused length-[k]
@@ -58,16 +58,22 @@ val compiled_scan :
     cross-checked dynamically by [bench/kernels.exe]. *)
 
 val worst_case :
-  Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float
-  -> ?kernel:[ `Lazy | `Compiled ] -> n:float -> unit -> outcome
+  Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float -> n:float
+  -> unit -> outcome
 (** Supremum of the crash-fault detection ratio over {!candidate_targets}.
-    Requires a non-empty trajectory array and [n >= 1.].
+    Requires a non-empty trajectory array, [f >= 0] and [n >= 1.].
+    Flattens each trajectory's leg prefix into arrays once and runs
+    {!compiled_scan} with a reused scratch array for the
+    (f+1)-st-smallest visit time. *)
 
-    [kernel] selects the scan implementation: [`Compiled] (default)
-    flattens each trajectory's leg prefix into arrays once and runs an
-    allocation-free inner loop with a reused scratch array for the
-    (f+1)-st-smallest visit time; [`Lazy] evaluates each candidate
-    through {!Engine.detection_ratio} (consed lists, per-candidate
-    sort).  Both visit the candidates in the same order and perform the
-    same float operations, so [ratio], [witness] and [detection_time]
-    are bit-identical. *)
+val reference :
+  Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float -> n:float
+  -> unit -> outcome
+(** The executable specification of {!worst_case}: folds
+    [Stats.sup_add] over {!candidate_targets}, evaluating each through
+    {!Engine.detection_ratio} (consed lists, per-candidate sort).  Both
+    visit the candidates in the same order and perform the same float
+    operations, so [ratio], [witness], [detection_time] and
+    [candidates_scanned] are bit-identical; the fuzz invariant
+    [kernel.compiled_eq_reference] and [bench/kernels.exe] hold them to
+    that.  Used by tests and benchmarks only. *)

@@ -1,7 +1,5 @@
 type profile_point = { dist : float; ray : int; ratio : float }
 
-let sup_ratio = Adversary.worst_case
-
 let profile trajectories ~f ?(ratio_cap = Adversary.default_ratio_cap) ~n
     ~samples () =
   if samples < 2 then invalid_arg "Competitive.profile: need samples >= 2";

@@ -7,11 +7,6 @@
 
 type profile_point = { dist : float; ray : int; ratio : float }
 
-val sup_ratio :
-  Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float
-  -> ?kernel:[ `Lazy | `Compiled ] -> n:float -> unit -> Adversary.outcome
-(** Alias for {!Adversary.worst_case}. *)
-
 val profile :
   Trajectory.t array -> f:int -> ?ratio_cap:float -> n:float -> samples:int
   -> unit -> profile_point list

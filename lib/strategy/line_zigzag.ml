@@ -53,6 +53,21 @@ let cover_intervals turns ~mu ~up_to =
   in
   collect 1 []
 
+let cover_intervals_within turns ~mu ~within:(lo, hi) =
+  let rec collect i acc =
+    if i > 1_000_000 then List.rev acc
+    else
+      let t'' = cover_threshold turns ~mu ~i in
+      (* thresholds are nondecreasing: once past the window, stop *)
+      if Turning.partial_sum turns i /. mu > hi then List.rev acc
+      else
+        let ti = Turning.get turns i in
+        if t'' <= ti && ti >= lo && t'' <= hi then
+          collect (i + 1) ((i, Interval1.closed t'' ti) :: acc)
+        else collect (i + 1) acc
+  in
+  collect 1 []
+
 let lambda_covers ?max_rounds turns ~lambda ~x =
   if x < 1. then invalid_arg "Line_zigzag.lambda_covers: need x >= 1";
   match pair_visit_time ?max_rounds turns ~x with

@@ -34,6 +34,16 @@ val cover_intervals :
 (** The λ-cover [Cov_mu(T)]: the intervals [[t''_i, t_i]] of the fruitful
     indices [i <= up_to], tagged with their turn index. *)
 
+val cover_intervals_within :
+  Turning.t -> mu:float -> within:float * float
+  -> (int * Search_numerics.Interval1.t) list
+(** The λ-cover restricted to the window: the fruitful intervals that
+    intersect it, stopping at the first turn whose sum threshold
+    [(t1 + ... + t_i) /. mu] passes the window's right end (the
+    thresholds are nondecreasing), and after at most 1_000_000 turns.
+    This is the reference that [Search_covering.Symmetric]'s flat-array
+    kernel must reproduce bit for bit. *)
+
 val lambda_covers : ?max_rounds:int -> Turning.t -> lambda:float -> x:float -> bool
 (** Whether the robot λ-covers [x >= 1.]: both copies visited within
     [lambda *. x] (motion-level definition). *)

@@ -33,7 +33,9 @@ val cover_intervals_within :
 (** All fruitful intervals intersecting the window, stopping at the first
     round whose threshold [t''_i] passes the window's right end (the
     thresholds are monotone increasing, so no later round can contribute).
-    [max_rounds] (default 1_000_000) guards against degenerate sequences. *)
+    [max_rounds] (default 1_000_000) guards against degenerate sequences.
+    This is the reference that [Search_covering.Orc]'s flat-array kernel
+    must reproduce bit for bit. *)
 
 val itinerary :
   ?label:string -> world:Search_sim.World.t -> ray:int -> Turning.t

@@ -53,7 +53,7 @@ let test_sym_max_covered_monotone_in_lambda () =
   checkf6 "full at 9.1" 1e4 m3
 
 let test_sym_intervals_within_window () =
-  let ivs = Sym.cover_intervals_within doubling ~lambda:9. ~within:(1., 64.) () in
+  let ivs = Sym.cover_intervals_within doubling ~lambda:9. ~within:(1., 64.) in
   check_bool "nonempty" true (List.length ivs > 3);
   List.iter
     (fun (i, (iv : Search_numerics.Interval1.t)) ->
@@ -64,8 +64,60 @@ let test_sym_intervals_within_window () =
         && iv.Search_numerics.Interval1.lo <= 64.))
     ivs
 
+(* Every entry point rejects a lambda that is not > 1, NaN included:
+   NaN fails every comparison, so a [lambda <= 1.] guard would let it
+   through to a meaningless verdict. *)
+let check_rejects_bad_lambda name check =
+  List.iter
+    (fun lambda ->
+      match check ~lambda with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted lambda = %g" name lambda)
+    [ Float.nan; 1.; 0.5 ]
+
+let test_sym_rejects_bad_lambda () =
+  check_rejects_bad_lambda "Symmetric.check" (fun ~lambda ->
+      Sym.check (turns31 ()) ~demand:1 ~lambda ~n:10.)
+
+(* The flat-array kernels against the reference loops over the memoised
+   sequences, bit for bit: on the doubling sequence and the ORC
+   projection of the optimal (3, 1) group, over an ordinary window, the
+   degenerate window [1, 1], a window starting past the first turns and
+   one reaching deep into the sequence. *)
+let same_intervals a b =
+  List.equal
+    (fun (i, (x : Search_numerics.Interval1.t)) (j, y) ->
+      Int.equal i j
+      && Int64.equal (Int64.bits_of_float x.lo) (Int64.bits_of_float y.lo)
+      && Int64.equal (Int64.bits_of_float x.hi) (Int64.bits_of_float y.hi))
+    a b
+
+let test_kernels_match_reference () =
+  let lambda = 9. in
+  let mu = (lambda -. 1.) /. 2. in
+  List.iter
+    (fun turns ->
+      List.iter
+        (fun within ->
+          check_bool "line bitwise" true
+            (same_intervals
+               (Sym.cover_intervals_within turns ~lambda ~within)
+               (Search_strategy.Line_zigzag.cover_intervals_within turns ~mu
+                  ~within));
+          check_bool "orc bitwise" true
+            (same_intervals
+               (Orc.cover_intervals_within turns ~lambda ~within)
+               (Search_strategy.Orc_round.cover_intervals_within turns ~mu
+                  ~within ())))
+        [ (1., 64.); (1., 1.); (1e6, 1e9); (1., 1e300) ])
+    (doubling :: Array.to_list (turns31 ()))
+
 (* ------------------------------------------------------------------ *)
 (* ORC *)
+
+let test_orc_rejects_bad_lambda () =
+  check_rejects_bad_lambda "Orc.check" (fun ~lambda ->
+      Orc.check (turns31 ()) ~demand:4 ~lambda ~n:10.)
 
 let test_orc_optimal_covers_qfold () =
   let turns = turns31 () in
@@ -826,6 +878,9 @@ let () =
           tc "doubling cow at nine" `Quick test_sym_doubling_cow_at_nine;
           tc "max_covered monotone" `Quick test_sym_max_covered_monotone_in_lambda;
           tc "intervals in window" `Quick test_sym_intervals_within_window;
+          tc "rejects lambda <= 1 and nan" `Quick test_sym_rejects_bad_lambda;
+          tc "kernels match references bitwise" `Quick
+            test_kernels_match_reference;
         ] );
       ( "orc",
         [
@@ -833,6 +888,7 @@ let () =
           tc "demand strictness" `Quick test_orc_demand_strictness;
           tc "of_mray geometric" `Quick test_orc_of_mray_geometric;
           tc "m-ray covering demand" `Quick test_orc_mray_covering_demand;
+          tc "rejects lambda <= 1 and nan" `Quick test_orc_rejects_bad_lambda;
         ] );
       ( "assigned",
         [

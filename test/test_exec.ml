@@ -1,6 +1,6 @@
 (* Tests for the multicore execution engine: the domain pool, the
    order-preserving parallel combinators, the deterministic sharder, the
-   thread-safe memo cache, and the metrics recorder.  The central claim
+   thread-safe LRU memo cache, and the metrics recorder.  The central claim
    under test is the determinism contract: every parallel path produces
    results identical to the sequential path at every pool size. *)
 
@@ -289,40 +289,6 @@ let test_sharded_stochastic_jobs_invariant () =
   check_bool "estimate is sane" true (sequential > 1. && sequential < 20.)
 
 (* ------------------------------------------------------------------ *)
-(* Memo *)
-
-let test_memo_caches () =
-  let cache = Memo.create () in
-  let computes = ref 0 in
-  let f k =
-    Memo.find_or_add cache k (fun () ->
-        incr computes;
-        k * k)
-  in
-  check_int "first" 49 (f 7);
-  check_int "second" 49 (f 7);
-  check_int "other key" 64 (f 8);
-  check_int "computed twice only" 2 !computes;
-  let s = Memo.stats cache in
-  check_int "entries" 2 s.Memo.entries;
-  check_int "hits" 1 s.Memo.hits;
-  check_int "misses" 2 s.Memo.misses;
-  Memo.clear cache;
-  check_int "cleared" 0 (Memo.stats cache).Memo.entries
-
-let test_memo_concurrent () =
-  (* hammer one cache from every worker; values must stay consistent *)
-  Pool.with_pool ~jobs:8 @@ fun pool ->
-  let cache = Memo.create () in
-  let f = Memo.memoize cache (fun (m, k, fl) -> F.a_mray ~m ~k ~f:fl) in
-  let keys = List.concat (List.init 20 (fun _ -> t3_grid)) in
-  let got = Par.parallel_map pool ~f keys in
-  let expected = List.map (fun (m, k, fl) -> F.a_mray ~m ~k ~f:fl) keys in
-  check_bool "all values correct under contention" true (got = expected);
-  check_int "entries bounded by key set" (List.length t3_grid)
-    (Memo.stats cache).Memo.entries
-
-(* ------------------------------------------------------------------ *)
 (* Metrics *)
 
 let test_metrics_record_and_total () =
@@ -415,11 +381,11 @@ let test_metrics_concurrent_writes () =
   | Error e -> Alcotest.fail ("torn/unparsable timings file: " ^ e)
 
 (* ------------------------------------------------------------------ *)
-(* Memo.Lru *)
+(* Memo *)
 
 let test_lru_evicts_lru_entry () =
-  let cache = Memo.Lru.create ~capacity:2 () in
-  let f k = Memo.Lru.find_or_add cache k (fun () -> k * 10) in
+  let cache = Memo.create ~capacity:2 () in
+  let f k = Memo.find_or_add cache k (fun () -> k * 10) in
   check_int "a" 10 (f 1);
   check_int "b" 20 (f 2);
   (* touch 1 so 2 becomes the least recently used *)
@@ -428,27 +394,27 @@ let test_lru_evicts_lru_entry () =
   check_int "a still cached" 10 (f 1);
   (* 2 was evicted: recomputing it counts a fresh miss *)
   check_int "b recomputed" 20 (f 2);
-  let s = Memo.Lru.stats cache in
-  check_int "entries bounded" 2 s.Memo.Lru.entries;
-  check_int "capacity" 2 s.Memo.Lru.capacity;
-  check_int "evictions" 2 s.Memo.Lru.evictions;
-  check_int "hits" 2 s.Memo.Lru.hits;
-  check_int "misses" 4 s.Memo.Lru.misses
+  let s = Memo.stats cache in
+  check_int "entries bounded" 2 s.Memo.entries;
+  check_int "capacity" 2 s.Memo.capacity;
+  check_int "evictions" 2 s.Memo.evictions;
+  check_int "hits" 2 s.Memo.hits;
+  check_int "misses" 4 s.Memo.misses
 
 let test_lru_clear_resets () =
-  let cache = Memo.Lru.create ~capacity:4 () in
-  let f = Memo.Lru.memoize cache (fun k -> k + 1) in
+  let cache = Memo.create ~capacity:4 () in
+  let f = Memo.memoize cache (fun k -> k + 1) in
   check_int "computes" 8 (f 7);
   check_int "hit" 8 (f 7);
-  Memo.Lru.clear cache;
-  let s = Memo.Lru.stats cache in
-  check_int "entries cleared" 0 s.Memo.Lru.entries;
-  check_int "hits reset" 0 s.Memo.Lru.hits;
-  check_int "misses reset" 0 s.Memo.Lru.misses;
-  check_int "evictions reset" 0 s.Memo.Lru.evictions
+  Memo.clear cache;
+  let s = Memo.stats cache in
+  check_int "entries cleared" 0 s.Memo.entries;
+  check_int "hits reset" 0 s.Memo.hits;
+  check_int "misses reset" 0 s.Memo.misses;
+  check_int "evictions reset" 0 s.Memo.evictions
 
 let test_lru_rejects_bad_capacity () =
-  match Memo.Lru.create ~capacity:0 () with
+  match Memo.create ~capacity:0 () with
   | _ -> Alcotest.fail "capacity 0 accepted"
   | exception E.Error (E.Invalid_input _) -> ()
 
@@ -456,14 +422,14 @@ let test_lru_concurrent_consistent () =
   (* a capacity far below the key range forces eviction churn under
      domain contention; values must stay correct throughout *)
   Pool.with_pool ~jobs:8 @@ fun pool ->
-  let cache = Memo.Lru.create ~capacity:3 () in
-  let f = Memo.Lru.memoize cache (fun k -> k * k) in
+  let cache = Memo.create ~capacity:3 () in
+  let f = Memo.memoize cache (fun k -> k * k) in
   let keys = List.concat (List.init 30 (fun _ -> [ 1; 2; 3; 4; 5; 6 ])) in
   let got = Par.parallel_map pool ~f keys in
   List.iter2 (fun k v -> check_int "value" (k * k) v) keys got;
-  let s = Memo.Lru.stats cache in
-  check_bool "entries within capacity" true (s.Memo.Lru.entries <= 3);
-  check_bool "evictions happened" true (s.Memo.Lru.evictions > 0)
+  let s = Memo.stats cache in
+  check_bool "entries within capacity" true (s.Memo.entries <= 3);
+  check_bool "evictions happened" true (s.Memo.evictions > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Pool.stats *)
@@ -564,12 +530,6 @@ let () =
           tc "grid2 is row-major" `Quick test_grid2_row_major;
           tc "stochastic estimate identical at jobs 1 vs 8" `Quick
             test_sharded_stochastic_jobs_invariant;
-        ] );
-      ( "memo",
-        [
-          tc "caches and counts" `Quick test_memo_caches;
-          tc "consistent under domain contention" `Quick
-            test_memo_concurrent;
         ] );
       ( "memo.lru",
         [

@@ -458,7 +458,7 @@ let test_trajectory_flat_first_visit () =
       [ 1.; 1.5; 2.; 3.7; 16.; 100.; 200.; 450. ]
   done
 
-(* The compiled kernel must reproduce the lazy reference exactly:
+(* The compiled scan must reproduce [Adversary.reference] exactly:
    same supremum, same witness, same candidate count. *)
 let test_adversary_kernels_agree () =
   let instances =
@@ -474,8 +474,8 @@ let test_adversary_kernels_agree () =
   in
   List.iter
     (fun (trs, f, n) ->
-      let l = Adv.worst_case trs ~f ~kernel:`Lazy ~n () in
-      let c = Adv.worst_case trs ~f ~kernel:`Compiled ~n () in
+      let l = Adv.reference trs ~f ~n () in
+      let c = Adv.worst_case trs ~f ~n () in
       check_bool "ratio bitwise" true
         (Int64.equal
            (Int64.bits_of_float l.Adv.ratio)
@@ -485,11 +485,11 @@ let test_adversary_kernels_agree () =
         (Float.equal l.Adv.detection_time c.Adv.detection_time);
       check_int "scanned" l.Adv.candidates_scanned c.Adv.candidates_scanned)
     instances;
-  (* f >= k: every candidate escapes under both kernels *)
+  (* f >= k: every candidate escapes under both *)
   let tr = [| Tr.compile (doubling_cow ()) |] in
-  let l = Adv.worst_case tr ~f:2 ~kernel:`Lazy ~n:50. () in
-  let c = Adv.worst_case tr ~f:2 ~kernel:`Compiled ~n:50. () in
-  check_bool "escape lazy" true (Float.equal l.Adv.ratio infinity);
+  let l = Adv.reference tr ~f:2 ~n:50. () in
+  let c = Adv.worst_case tr ~f:2 ~n:50. () in
+  check_bool "escape reference" true (Float.equal l.Adv.ratio infinity);
   check_bool "escape compiled" true (Float.equal c.Adv.ratio infinity);
   check_bool "escape witness" true (W.equal_point l.Adv.witness c.Adv.witness)
 
@@ -499,8 +499,8 @@ let test_adversary_kernels_agree () =
    the public API cannot produce: no robots, empty depth rows. *)
 let test_adversary_kernel_degenerate () =
   let tr = [| Tr.compile (doubling_cow ()) |] in
-  let l = Adv.worst_case tr ~f:0 ~kernel:`Lazy ~n:1. () in
-  let c = Adv.worst_case tr ~f:0 ~kernel:`Compiled ~n:1. () in
+  let l = Adv.reference tr ~f:0 ~n:1. () in
+  let c = Adv.worst_case tr ~f:0 ~n:1. () in
   check_bool "singleton ratio bitwise" true
     (Int64.equal
        (Int64.bits_of_float l.Adv.ratio)
