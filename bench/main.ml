@@ -33,11 +33,34 @@ let section id title =
    drill: with retries > Chaos.max_faults the output must be
    byte-identical to a fault-free run. *)
 
-let failed_cells = ref 0
-let chaos_seed = ref None
-let retries = ref 0
-
-let bench_spec () =
+(* The command line is parsed once, at startup: every grid cell runs
+   under the one supervision spec built here from it. *)
+let jobs, bench_spec =
+  let jobs = ref (Pool.default_jobs ()) in
+  let chaos_seed = ref None in
+  let retries = ref 0 in
+  Arg.parse
+    [
+      ( "--jobs",
+        Arg.Set_int jobs,
+        "N  run the experiment grids on N domains (default: the \
+         recommended domain count; tables are byte-identical for any N)" );
+      ( "--chaos-seed",
+        Arg.Int (fun s -> chaos_seed := Some s),
+        "SEED  inject deterministic faults into the grid cells (drill: \
+         with enough --retries the tables are byte-identical to a \
+         fault-free run)" );
+      ( "--retries",
+        Arg.Set_int retries,
+        "R  retry each failed grid cell up to R times (attempts = R+1, \
+         zero backoff)" );
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
+    "main.exe [--jobs N]";
+  if !jobs < 1 then begin
+    prerr_endline "main.exe: --jobs must be >= 1";
+    exit 2
+  end;
   let chaos =
     match !chaos_seed with
     | None -> FS.Chaos.disabled
@@ -47,17 +70,19 @@ let bench_spec () =
     if !retries <= 0 then FS.Retry.none
     else FS.Retry.immediate ~attempts:(!retries + 1)
   in
-  { FS.Supervise.default with chaos; retry }
+  (!jobs, { FS.Supervise.default with chaos; retry })
+
+let failed_cells = Atomic.make 0
 
 let err_row ~id ~width err =
-  incr failed_cells;
+  Atomic.incr failed_cells;
   Printf.eprintf "bench: %s cell failed: %s\n%!" id
     (FS.Search_error.to_string err);
   ("!ERR " ^ FS.Search_error.tag err) :: List.init (width - 1) (fun _ -> "-")
 
 (* supervised counterpart of [Par.parallel_map] for row-valued cells *)
 let guarded pool ~id ~width ~f items =
-  FS.Supervise.map pool ~spec:(bench_spec ())
+  FS.Supervise.map pool ~spec:bench_spec
     ~task:(fun i _ -> Printf.sprintf "%s#%d" id i)
     ~f:(fun _meter x -> f x)
     items
@@ -67,7 +92,7 @@ let guarded pool ~id ~width ~f items =
 
 (* variant for cells that may legitimately produce no row (F2) *)
 let guarded_opt pool ~id ~width ~f items =
-  FS.Supervise.map pool ~spec:(bench_spec ())
+  FS.Supervise.map pool ~spec:bench_spec
     ~task:(fun i _ -> Printf.sprintf "%s#%d" id i)
     ~f:(fun _meter x -> f x)
     items
@@ -1069,35 +1094,12 @@ let micro_benchmarks () =
 let timings_path = Filename.concat "results" "bench_timings.json"
 
 let () =
-  let jobs = ref (Pool.default_jobs ()) in
-  Arg.parse
-    [
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N  run the experiment grids on N domains (default: the \
-         recommended domain count; tables are byte-identical for any N)" );
-      ( "--chaos-seed",
-        Arg.Int (fun s -> chaos_seed := Some s),
-        "SEED  inject deterministic faults into the grid cells (drill: \
-         with enough --retries the tables are byte-identical to a \
-         fault-free run)" );
-      ( "--retries",
-        Arg.Set_int retries,
-        "R  retry each failed grid cell up to R times (attempts = R+1, \
-         zero backoff)" );
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "main.exe [--jobs N]";
-  if !jobs < 1 then begin
-    prerr_endline "main.exe: --jobs must be >= 1";
-    exit 2
-  end;
-  let metrics = FS.Metrics.create ~jobs:!jobs () in
+  let metrics = FS.Metrics.create ~jobs () in
   print_endline
     "Reproduction harness: Kupavskii & Welzl, 'Lower Bounds for Searching\n\
      Robots, some Faulty' (PODC 2018).  One section per experiment of\n\
      EXPERIMENTS.md.";
-  Pool.with_pool ~jobs:!jobs (fun pool ->
+  Pool.with_pool ~jobs (fun pool ->
       let run id experiment = FS.Metrics.time metrics ~experiment:id experiment in
       run "T1" (fun () -> t1_line_ratio pool);
       run "T2" t2_byzantine;
@@ -1122,10 +1124,10 @@ let () =
   FS.Metrics.record metrics ~experiment:"suite" ~seconds:(FS.Metrics.total metrics);
   FS.Metrics.write metrics ~path:timings_path;
   Printf.printf "\n(per-experiment wall-clock written to %s)\n" timings_path;
-  if !failed_cells > 0 then begin
+  if Atomic.get failed_cells > 0 then begin
     Printf.eprintf
       "bench: %d grid cell(s) failed (marked !ERR above); exiting 3\n%!"
-      !failed_cells;
+      (Atomic.get failed_cells);
     exit 3
   end;
   print_endline "\nall experiments completed."

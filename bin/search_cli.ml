@@ -784,36 +784,11 @@ let format_arg =
 
 let rules_arg =
   let doc =
-    "Comma-separated rule ids to run (default: all).  Use \
-     $(b,--rules list) to print the registry."
+    "Comma-separated catalogue ids to report (default: all); stale \
+     lint.allow entries are only checked for these.  Use $(b,--rules \
+     list) to print the catalogue."
   in
   Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"RULES" ~doc)
-
-let deep_arg =
-  let doc =
-    "Also run the typed interprocedural analyses (nondeterminism taint, \
-     static race/lockset, mutex-order cycles) over the .cmt artefacts \
-     dune emitted for the tree.  Build first: $(b,dune build @all)."
-  in
-  Arg.(value & flag & info [ "deep" ] ~doc)
-
-let hotpath_arg =
-  let doc =
-    "Also run the hot-path performance analyses over the .cmt artefacts: \
-     allocation budgets for [@hot] roots (checked against lint.budget) \
-     and blocking-call detection from [@event_loop] select loops.  \
-     Build first: $(b,dune build @all)."
-  in
-  Arg.(value & flag & info [ "hotpath" ] ~doc)
-
-let escape_arg =
-  let doc =
-    "Also run the escape analyses over the .cmt artefacts: exception \
-     flow out of public boundaries, resource-release discipline on \
-     acquisition sites, and real-I/O hygiene of the simulation seam.  \
-     Build first: $(b,dune build @all)."
-  in
-  Arg.(value & flag & info [ "escape" ] ~doc)
 
 let strict_arg =
   let doc =
@@ -825,8 +800,8 @@ let strict_arg =
 
 (* Exit codes follow the CLI-wide contract: 0 clean, 1 verified finding
    (or, under --strict, a stale allowlist/budget entry), 2 usage, 3
-   internal (the tree itself could not be parsed/loaded). *)
-let lint_run root format rules deep hotpath escape strict jobs =
+   internal (a source with no loadable, up-to-date artefact). *)
+let lint_run root format rules strict jobs =
   if not (check_jobs jobs) then exit_usage
   else
     let module A = FS.Analysis in
@@ -834,12 +809,9 @@ let lint_run root format rules deep hotpath escape strict jobs =
     | Some "list" ->
         List.iter
           (fun e ->
-            Format.printf "%-24s %-9s %s%s@." e.A.Catalogue.id
+            Format.printf "%-24s %-9s %s@." e.A.Catalogue.id
               (A.Catalogue.family_to_string e.A.Catalogue.family)
-              e.A.Catalogue.doc
-              (match A.Catalogue.family_flag e.A.Catalogue.family with
-              | Some flag -> Printf.sprintf " (under %s)" flag
-              | None -> ""))
+              e.A.Catalogue.doc)
           A.Catalogue.all;
         0
     | _ -> (
@@ -855,8 +827,7 @@ let lint_run root format rules deep hotpath escape strict jobs =
             exit_usage
         | Ok (allow, budget) -> (
             match
-              A.Driver.run ?jobs ?rules ~deep ~hotpath ~escape ~allow ~budget
-                ~root ()
+              A.Driver.run ?jobs ?rules ~allow ~budget ~root ()
             with
             | exception Invalid_argument msg ->
                 Format.eprintf "lint: %s@." msg;
@@ -871,17 +842,19 @@ let lint_run root format rules deep hotpath escape strict jobs =
 
 let lint_cmd =
   let doc =
-    "Determinism & numeric-safety lint over lib/, bin/, bench/ and test/ \
-     (exit 1 on any finding not suppressed by lint.allow; with --deep, \
-     also the typed interprocedural analyses; with --hotpath, the \
-     hot-path allocation/blocking analyses; with --escape, the \
-     exception-flow/leak/sim-hygiene analyses)."
+    "Determinism & numeric-safety lint over lib/, bin/, bench/ and test/, \
+     read from the .cmt/.cmti artefacts dune emitted for them (build \
+     first: $(b,dune build @check)): the per-file rules, the typed \
+     interprocedural analyses, the hot-path allocation/blocking analyses \
+     and the exception-flow/leak/sim-hygiene analyses.  Exit 1 on any \
+     finding not suppressed by lint.allow / lint.budget; exit 3 when a \
+     source has no artefact or a stale one."
   in
   Cmd.v
     (Cmd.info "lint" ~doc)
     Term.(
-      const lint_run $ root_arg $ format_arg $ rules_arg $ deep_arg
-      $ hotpath_arg $ escape_arg $ strict_arg $ jobs_arg)
+      const lint_run $ root_arg $ format_arg $ rules_arg $ strict_arg
+      $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1159,11 +1132,8 @@ let main_cmd =
    parse/term errors are usage (2); an escaping exception — including a
    [Search_error] no subcommand translated — is an internal error (3). *)
 (* whole-system invariants hook into the fuzz catalogue at startup (the
-   registry breaks the dst -> serve -> core -> check dependency cycle);
-   the escape self-lint rides the same hook so `fuzz` runs also guard
-   the tree's exception/resource/sim-hygiene discipline *)
+   registry breaks the dst -> serve -> core -> check dependency cycle) *)
 let () = Dst.register_invariant ()
-let () = FS.Check.Invariant.register_escape_invariant ()
 
 let () =
   exit

@@ -96,6 +96,11 @@ let strip_stdlib name =
       String.sub name 7 (String.length name - 7)
   | _ -> name
 
+let is_float_ty ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
+  | _ -> false
+
 (* "Search_exec__Pool.async" -> "Pool.async"; the unit-name mangling is
    a dune implementation detail humans should not have to read. *)
 let display_name name =
@@ -305,11 +310,6 @@ let summarize (u : Cmt_loader.unit_info) =
           caught := names @ saved;
           Fun.protect ~finally:(fun () -> caught := saved) f
         end
-      in
-      let is_float_ty ty =
-        match Types.get_desc ty with
-        | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
-        | _ -> false
       in
       let is_immediate_ty ty =
         match Types.get_desc ty with

@@ -127,6 +127,9 @@ val alloc_kind_to_string : alloc_kind -> string
 val strip_stdlib : string -> string
 (** Drop one leading ["Stdlib."], if present. *)
 
+val is_float_ty : Types.type_expr -> bool
+(** The type is [float] itself (no expansion of abbreviations). *)
+
 val find_def : t -> string -> def option
 val find_cell : t -> string -> cell option
 val is_entry : t -> string -> bool

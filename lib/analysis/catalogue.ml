@@ -1,9 +1,9 @@
 (* The exhaustive rule catalogue across all four analysis families
    plus the driver's internal pseudo-rules.  Single source of truth
-   for `--rules` listings and for stale-allowlist scoping: a rule id
-   emitted anywhere but absent here is a bug (pinned by a test), and
-   an allowlist entry naming an uncatalogued rule is stale by
-   definition. *)
+   for `--rules` selection and listings and for stale-allowlist
+   scoping: a rule id emitted anywhere but absent here is a bug
+   (pinned by a test), and an allowlist entry naming an uncatalogued
+   rule is stale by definition. *)
 
 type family = Syntactic | Deep | Hotpath | Escape | Internal
 
@@ -15,15 +15,6 @@ let family_to_string = function
   | Hotpath -> "hotpath"
   | Escape -> "escape"
   | Internal -> "internal"
-
-(* How each non-syntactic family is switched on; the syntactic rules
-   run always (filtered by --rules). *)
-let family_flag = function
-  | Syntactic -> None
-  | Deep -> Some "--deep"
-  | Hotpath -> Some "--hotpath"
-  | Escape -> Some "--escape"
-  | Internal -> None
 
 let typed_entries =
   [
@@ -71,14 +62,19 @@ let typed_entries =
       doc = "real Unix socket/clock/sleep primitive reachable from the sim seam";
     };
     {
-      id = "parse";
-      family = Internal;
-      doc = "source file the compiler front end rejects";
-    };
-    {
       id = "cmt-load";
       family = Internal;
       doc = "cmt artefact that cannot be loaded (rebuild and rerun)";
+    };
+    {
+      id = "cmt-missing";
+      family = Internal;
+      doc = "source file with no .cmt/.cmti artefact (run dune build @check)";
+    };
+    {
+      id = "cmt-stale";
+      family = Internal;
+      doc = "artefact compiled from another version of the source (rebuild)";
     };
   ]
 

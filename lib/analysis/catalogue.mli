@@ -1,13 +1,13 @@
 (** The exhaustive rule catalogue: every rule id any analysis family
-    can emit, in one place.  Backs the [--rules] listing and the
-    stale-allowlist scoping; a test pins that every emitted rule name
+    can emit, in one place.  Backs [--rules] selection and listing and
+    the stale-allowlist scoping; a test pins that every emitted rule name
     is catalogued. *)
 
 type family =
-  | Syntactic  (** parsetree rules, always on (filtered by [--rules]) *)
-  | Deep  (** taint / lockset / lock-order, under [--deep] *)
-  | Hotpath  (** allocation budgets / blocking, under [--hotpath] *)
-  | Escape  (** exception flow / leaks / sim hygiene, under [--escape] *)
+  | Syntactic  (** per-file rules ({!Rules}) *)
+  | Deep  (** taint / lockset / lock-order *)
+  | Hotpath  (** allocation budgets / blocking *)
+  | Escape  (** exception flow / leaks / sim hygiene *)
   | Internal  (** analysis-failure pseudo-rules (exit code 3) *)
 
 type entry = { id : string; family : family; doc : string }
@@ -20,6 +20,3 @@ val find : string -> entry option
 val ids_of : family -> string list
 
 val family_to_string : family -> string
-
-val family_flag : family -> string option
-(** The CLI flag that switches the family on, when it is gated. *)

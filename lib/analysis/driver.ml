@@ -12,21 +12,6 @@ type outcome = {
   budget_stale : (string * int) list;
 }
 
-(* Stale-allowlist scoping is catalogue-driven: a gated family's
-   entries are out of scope when the owning pass did not run, and an
-   entry naming a rule the catalogue does not know is always in scope
-   (and thus reported stale).  [cmt-load] belongs to every cmt-backed
-   family (any of them loads artefacts). *)
-let rule_in_scope ~deep ~hotpath ~escape rule =
-  match Catalogue.find rule with
-  | Some { Catalogue.family = Catalogue.Deep; _ } -> deep
-  | Some { Catalogue.family = Catalogue.Hotpath; _ } -> hotpath
-  | Some { Catalogue.family = Catalogue.Escape; _ } -> escape
-  | Some { Catalogue.family = Catalogue.Internal; _ }
-    when String.equal rule "cmt-load" ->
-      deep || hotpath || escape
-  | _ -> true
-
 (* Findings that mean the analysis itself could not do its job; the
    exit-code contract reports them as internal (3), not as lint
    verdicts (1). *)
@@ -37,61 +22,79 @@ let default_dirs = [ "bench"; "bin"; "lib"; "test" ]
 let load_allow ~root = Allow.load (Filename.concat root "lint.allow")
 let load_budget ~root = Budget.load (Filename.concat root "lint.budget")
 
-let validate_rules = function
-  | None -> ()
+(* [--rules] accepts any catalogued id; the internal pseudo-rules are
+   always selected, since they say the tree could not be analysed. *)
+let selection = function
+  | None -> fun _ -> true
   | Some ids ->
       List.iter
         (fun id ->
-          match Rules.find id with
-          | Some _ -> ()
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Driver.run: unknown rule %S (known: %s)" id
-                   (String.concat ", "
-                      (List.map (fun r -> r.Rules.id) Rules.all))))
-        ids
+          if Option.is_none (Catalogue.find id) then
+            invalid_arg
+              (Printf.sprintf "Driver.run: unknown rule %S (known: %s)" id
+                 (String.concat ", "
+                    (List.map (fun e -> e.Catalogue.id) Catalogue.all))))
+        ids;
+      fun rule -> List.mem rule ids || List.mem rule internal_rule_ids
 
-let check_source ?rules ~has_mli src =
-  let ctx = { Rules.rel_path = src.Source.rel_path; has_mli } in
-  Rules.run ?only:rules ctx src
-
-let lint_string ?rules ?(has_mli = true) ~path contents =
-  validate_rules rules;
-  match Source.parse_string ~rel_path:path contents with
-  | Error finding -> [ finding ]
-  | Ok src -> List.sort_uniq Finding.compare (check_source ?rules ~has_mli src)
-
-let run ?jobs ?rules ?(deep = false) ?(hotpath = false) ?(escape = false)
-    ?(dirs = default_dirs) ?(allow = Allow.empty) ?(budget = Budget.empty)
-    ~root () =
-  validate_rules rules;
-  let paths = Source.discover ~root ~dirs in
-  let mli_present =
-    List.filter (fun p -> Filename.check_suffix p ".mli") paths
+(* One discovery, one load, one pass: the artefacts are loaded once
+   (serialised, see {!Cmt_loader.load}), the per-file rules and the
+   per-unit summaries run in parallel over the same units, and the
+   global families fold over the call graph built once from those
+   summaries.  Every fold is over sorted inputs and the parallel maps
+   preserve order, so the findings are byte-identical at any pool
+   size. *)
+let analyse ~pool ~allow ~budget ~dirs ~root =
+  let build_dir = Cmt_loader.build_dir ~root in
+  let sources = Cmt_loader.discover_sources ~root ~dirs in
+  let loaded =
+    Par.parallel_map pool
+      (Cmt_loader.discover ~build_dir ~dirs)
+      ~f:(Cmt_loader.load ~build_dir)
   in
-  let check rel_path =
-    let has_mli =
-      Filename.check_suffix rel_path ".ml"
-      && List.mem (rel_path ^ "i") mli_present
-      || Filename.check_suffix rel_path ".mli"
-    in
-    match Source.parse_file ~root rel_path with
-    | Error finding -> [ finding ]
-    | Ok src -> check_source ?rules ~has_mli src
+  let units = Cmt_loader.dedup (List.filter_map Result.to_option loaded) in
+  let per_file =
+    Par.parallel_map pool units ~f:(fun u ->
+        match u.Cmt_loader.source with
+        | Some file when List.mem file sources -> Rules.check ~file u
+        | _ -> [])
   in
-  let per_file, cmt_findings, units, budget_stale =
+  let impls =
+    List.filter (fun u -> Option.is_none u.Cmt_loader.signature) units
+  in
+  let graph =
+    Callgraph.build (Par.parallel_map pool impls ~f:Callgraph.summarize)
+  in
+  let exports = List.filter_map Cmt_loader.exports units in
+  let audited file = Allow.permits allow ~rule:"deep-nondet" ~file in
+  let findings =
+    List.concat
+      [
+        List.filter_map (function Error f -> Some f | Ok _ -> None) loaded;
+        Cmt_loader.freshness ~root ~sources units;
+        Rules.mli_coverage sources;
+        List.concat per_file;
+        Taint.findings ~audited graph;
+        Lockset.findings graph;
+        Hotpath.findings ~budget graph;
+        Escape.findings ~exports graph;
+      ]
+  in
+  ( findings,
+    List.length sources,
+    List.length impls,
+    Hotpath.stale_budget ~budget graph )
+
+let run ?jobs ?rules ?(dirs = default_dirs) ?(allow = Allow.empty)
+    ?(budget = Budget.empty) ~root () =
+  let selected = selection rules in
+  let findings, files, units, budget_stale =
     Pool.with_pool ?jobs @@ fun pool ->
-    let per_file = Par.parallel_map pool paths ~f:check in
-    if deep || hotpath || escape then
-      let audited file = Allow.permits allow ~rule:"deep-nondet" ~file in
-      let dfs, units, budget_stale =
-        Deep.collect ~pool ~deep ~hotpath ~escape ~audited ~budget ~dirs ~root
-      in
-      (per_file, dfs, units, budget_stale)
-    else (per_file, [], 0, [])
+    analyse ~pool ~allow ~budget ~dirs ~root
   in
   let all =
-    List.sort_uniq Finding.compare (cmt_findings @ List.concat per_file)
+    List.sort_uniq Finding.compare
+      (List.filter (fun f -> selected f.Finding.rule) findings)
   in
   let kept, dropped =
     List.partition
@@ -99,18 +102,18 @@ let run ?jobs ?rules ?(deep = false) ?(hotpath = false) ?(escape = false)
         not (Allow.permits allow ~rule:f.Finding.rule ~file:f.Finding.file))
       all
   in
-  let stale =
-    Allow.stale allow
-      ~in_scope:(rule_in_scope ~deep ~hotpath ~escape)
-      ~findings:all
-  in
   {
     findings = kept;
     suppressed = List.length dropped;
-    files = List.length paths;
+    files;
     units;
-    stale;
-    budget_stale;
+    (* an entry naming an uncatalogued rule is stale by definition *)
+    stale =
+      Allow.stale allow
+        ~in_scope:(fun rule ->
+          Option.is_none (Catalogue.find rule) || selected rule)
+        ~findings:all;
+    budget_stale = (if selected "hotpath-alloc" then budget_stale else []);
   }
 
 let exit_code ?(strict = false) o =

@@ -1,4 +1,4 @@
-(** The lint driver: discover, parse, check, filter, render.
+(** The lint driver: discover, load, check, filter, render.
 
     Determinism contract (same as the rest of the repo): the outcome —
     including the rendered bytes — is a pure function of the source
@@ -10,14 +10,14 @@
 type outcome = {
   findings : Finding.t list;  (** surviving findings, sorted *)
   suppressed : int;  (** findings removed by the allowlist *)
-  files : int;  (** source files scanned *)
-  units : int;  (** compiled units analysed by the deep pass (0 = off) *)
+  files : int;  (** source files discovered *)
+  units : int;  (** compiled implementation units analysed *)
   stale : (string * string * int) list;
-      (** allow entries (rule, path, lint.allow line) in scope for this
-          run that matched no finding *)
+      (** allow entries (rule, path, lint.allow line) for a selected
+          rule that matched no finding *)
   budget_stale : (string * int) list;
       (** [lint.budget] entries (name, line) naming no current [@hot]
-          root (empty unless the hotpath pass ran) *)
+          root (empty unless [hotpath-alloc] is selected) *)
 }
 
 val default_dirs : string list
@@ -33,9 +33,6 @@ val load_budget : root:string -> (Budget.t, string) result
 val run :
   ?jobs:int ->
   ?rules:string list ->
-  ?deep:bool ->
-  ?hotpath:bool ->
-  ?escape:bool ->
   ?dirs:string list ->
   ?allow:Allow.t ->
   ?budget:Budget.t ->
@@ -43,32 +40,25 @@ val run :
   unit ->
   outcome
 (** Lint every [.ml]/[.mli] under [root/dir] for [dir] in [dirs]
-    (default {!default_dirs}).  [rules] restricts to the given rule
-    ids ({!Rules.all} by default; unknown ids raise
-    [Invalid_argument]).  [deep] (default false) additionally runs the
-    typed interprocedural family ({!Taint} + {!Lockset}); [hotpath]
-    (default false) the hot-path performance family ({!Hotpath},
-    checked against [budget]); [escape] (default false) the escape
-    family ({!Escape}: exception flow, release discipline, sim
-    hygiene, with [.cmti] export sets deciding what is public).  Any
-    of these flags loads the [.cmt] artefacts dune emitted for the
-    tree; the call graph is built once and shared.  [jobs] sizes the
-    {!Search_exec.Pool} used to fan files (and cmt units) out across
-    domains. *)
+    (default {!default_dirs}) through the typed artefacts dune emitted
+    for them ({!Cmt_loader.build_dir}): the per-file {!Rules}, the
+    interprocedural family ({!Taint} + {!Lockset}), the hot-path family
+    ({!Hotpath}, checked against [budget]) and the escape family
+    ({!Escape}, with [.cmti] export sets deciding what is public).  A
+    source with no artefact, or one compiled from other bytes, is a
+    [cmt-missing] / [cmt-stale] finding.  [rules] restricts the report
+    and the stale-entry scope to the given catalogue ids
+    ({!Catalogue.all}; unknown ids raise [Invalid_argument]); the
+    internal pseudo-rules are always reported.  [jobs] sizes the
+    {!Search_exec.Pool} used to fan units out across domains. *)
 
 val exit_code : ?strict:bool -> outcome -> int
 (** The lint exit-code contract (same scheme as the CLI at large):
-    0 clean / 1 verified finding / 3 internal — a [parse] or
-    [cmt-load] finding means the tree itself could not be analysed.
-    With [strict], stale allowlist and budget entries also exit 1.
-    (2 — usage — is the argument parser's, not the driver's.) *)
-
-val lint_string :
-  ?rules:string list -> ?has_mli:bool -> path:string -> string -> Finding.t list
-(** Lint in-memory contents as if read from [path] (root-relative, so
-    path-scoped rules apply the same way); no allowlist.  [has_mli]
-    (default [true]) feeds the [mli-coverage] rule.  The fixture entry
-    point for [test/test_analysis.ml]. *)
+    0 clean / 1 verified finding / 3 internal — a [cmt-load],
+    [cmt-missing] or [cmt-stale] finding means the tree itself could
+    not be analysed.  With [strict], stale allowlist and budget entries
+    also exit 1.  (2 — usage — is the argument parser's, not the
+    driver's.) *)
 
 val render_text : outcome -> string
 (** Table of findings (via {!Search_numerics.Table}) plus a summary

@@ -1,13 +1,10 @@
-open Parsetree
-
-type ctx = { rel_path : string; has_mli : bool }
+open Typedtree
 
 type rule = {
   id : string;
   severity : Finding.severity;
   doc : string;
   applies : string -> bool;
-  check : ctx -> Source.t -> Finding.t list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -18,401 +15,243 @@ let in_lib = in_dir "lib"
 let not_in_test path = not (in_dir "test" path)
 let everywhere _ = true
 
-let flat lid = Longident.flatten lid
-let lid_name lid = String.concat "." (flat lid)
+(* Matching is on the resolved path; messages quote the spelling. *)
+let resolved p = Callgraph.strip_stdlib (Path.name p)
+let spelled (lid : Longident.t Location.loc) =
+  String.concat "." (Longident.flatten lid.txt)
 
-(* Collect findings with a closure-captured accumulator; each rule
-   builds one iterator over the file's AST. *)
-let collect ctx rule_id severity f =
-  let acc = ref [] in
-  let emit ?suggestion ~loc message =
-    acc :=
-      Finding.v ~rule:rule_id ~severity ~file:ctx.rel_path ?suggestion ~loc
-        message
-      :: !acc
-  in
-  f emit;
-  List.rev !acc
+(* The name of a path rooted at [Stdlib] itself — a local [compare] or
+   [( = )] is a [Pident] and never matches. *)
+let stdlib_name p =
+  let n = Path.name p in
+  if String.starts_with ~prefix:"Stdlib." n then Some (resolved p) else None
 
-let iter_source (it : Ast_iterator.iterator) (src : Source.t) =
-  match src.Source.ast with
-  | Source.Impl st -> it.structure it st
-  | Source.Intf sg -> it.signature it sg
+(* ------------------------------------------------------------------ *)
+(* registry                                                            *)
 
-(* An iterator that only overrides [expr]; the [super] call keeps the
-   traversal going underneath. *)
-let expr_iterator hook =
-  let super = Ast_iterator.default_iterator in
-  { super with expr = (fun self e -> hook super self e) }
+let all =
+  [
+    {
+      id = "poly-compare";
+      severity = Finding.Error;
+      doc =
+        "polymorphic compare/equality on non-immediate values (floats, \
+         float-carrying records)";
+      applies = everywhere;
+    };
+    {
+      id = "nondet";
+      severity = Finding.Error;
+      doc =
+        "ambient nondeterminism: Random.*, wall clocks, representation \
+         hashing";
+      applies = everywhere;
+    };
+    {
+      id = "float-hygiene";
+      severity = Finding.Error;
+      doc = "NaN literals, unguarded float_of_string, division by 0.";
+      applies = not_in_test;
+    };
+    {
+      id = "lock-discipline";
+      severity = Finding.Error;
+      doc = "bare Mutex.lock/unlock outside Mutex.protect/Fun.protect";
+      applies = everywhere;
+    };
+    {
+      id = "unsafe-ops";
+      severity = Finding.Error;
+      doc = "Obj.magic, unsafe_get/set, %identity externals";
+      applies = everywhere;
+    };
+    {
+      id = "output-discipline";
+      severity = Finding.Error;
+      doc = "direct stdout/stderr printing inside lib/";
+      applies = in_lib;
+    };
+    {
+      id = "mli-coverage";
+      severity = Finding.Warning;
+      doc = "every lib/ module ships an interface";
+      applies = in_lib;
+    };
+    {
+      id = "closed-variant-wildcard";
+      severity = Finding.Warning;
+      doc = "catch-all _ arm in matches on closed domain variants";
+      applies = in_lib;
+    };
+    {
+      id = "global-mutable-state";
+      severity = Finding.Warning;
+      doc = "top-level refs/tables shared across domains";
+      applies = in_lib;
+    };
+  ]
+
+let finding ~file ?suggestion ~loc id message =
+  match List.find_opt (fun r -> String.equal r.id id) all with
+  | Some r when r.applies file ->
+      Some
+        (Finding.v ~rule:id ~severity:r.severity ~file ?suggestion ~loc message)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* ident rules: (rule, message, suggestion) for a resolved name        *)
+
+let ident_hits name spelled =
+  match String.split_on_char '.' name with
+  | "Random" :: _ ->
+      [
+        ( "nondet",
+          Printf.sprintf "ambient PRNG %s breaks deterministic replay" spelled,
+          "draw from Search_numerics.Prng (splittable, replayable) instead" );
+      ]
+  | [ "Sys"; "time" ] | [ "Unix"; ("gettimeofday" | "time" | "times") ] ->
+      [
+        ( "nondet",
+          Printf.sprintf "wall-clock read %s is nondeterministic" spelled,
+          "time only inside Search_exec.Metrics, which never feeds results" );
+      ]
+  | [ "Hashtbl"; ("hash" | "seeded_hash" | "randomize") ] ->
+      [
+        ( "nondet",
+          Printf.sprintf "%s depends on runtime representation" spelled,
+          "hash with an explicit, versioned function" );
+      ]
+  | [ "nan" ] | [ "Float"; "nan" ] ->
+      [
+        ( "float-hygiene",
+          "literal NaN constructed",
+          "model absence with option; NaN poisons comparisons and silently \
+           passes (<=) guards" );
+      ]
+  | [ "float_of_string" ] | [ "Float"; "of_string" ] ->
+      [
+        ( "float-hygiene",
+          "unguarded float_of_string raises on bad input",
+          "use float_of_string_opt and handle the failure explicitly" );
+      ]
+  | [ "Mutex"; ("lock" | "unlock") ] ->
+      [
+        ( "lock-discipline",
+          Printf.sprintf "bare %s outside an unwind guard" spelled,
+          "wrap the critical section in Mutex.protect (or Fun.protect \
+           ~finally) so exceptions cannot leave the mutex held" );
+      ]
+  | [ "Obj"; ("magic" | "repr" | "obj") ] ->
+      [
+        ( "unsafe-ops",
+          Printf.sprintf "%s defeats the type system" spelled,
+          "restructure so the types are honest" );
+      ]
+  | [ ("Array" | "String" | "Bytes" | "Float"); prim ]
+    when String.starts_with ~prefix:"unsafe_" prim ->
+      [
+        ( "unsafe-ops",
+          Printf.sprintf "%s skips bounds checks" spelled,
+          "use the bounds-checked accessor; prove the win with bench/ \
+           before ever reconsidering" );
+      ]
+  | [ ( "print_string" | "print_endline" | "print_newline" | "print_char"
+      | "print_int" | "print_float" | "print_bytes" | "prerr_string"
+      | "prerr_endline" | "prerr_newline" | "prerr_char" | "stdout"
+      | "stderr" ) ]
+  | [ "Printf"; ("printf" | "eprintf") ]
+  | [ "Format";
+      ("printf" | "eprintf" | "print_string" | "print_newline" | "print_flush")
+    ] ->
+      [
+        ( "output-discipline",
+          Printf.sprintf "direct console output via %s inside lib/" spelled,
+          "library code returns data; route output through Report / Table / \
+           Event_log / Metrics, or take a Format.formatter" );
+      ]
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* poly-compare                                                        *)
 
-(* Syntactically "safe" operands for structural (=): immediates and
-   literals whose structural comparison is exactly what is meant. *)
+(* "Safe" operands for structural (=): immediates and literals whose
+   structural comparison is exactly what is meant. *)
+let safe_calls =
+  [
+    "List.length"; "Array.length"; "String.length"; "Bytes.length";
+    "Hashtbl.length"; "Queue.length"; "List.compare_lengths"; "Char.code";
+    "Array.dim";
+  ]
+
 let rec safe_operand e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_integer _ | Pconst_char _ | Pconst_string _) -> true
-  | Pexp_construct ({ txt = Lident "::"; _ }, Some arg) -> (
-      match arg.pexp_desc with
-      | Pexp_tuple [ hd; tl ] -> safe_operand hd && safe_operand tl
-      | _ -> false)
-  | Pexp_construct ({ txt = Lident "Some"; _ }, Some arg) -> safe_operand arg
-  | Pexp_construct (_, None) -> true (* (), [], true, None, Covered, ... *)
-  | Pexp_variant (_, None) -> true
-  | Pexp_tuple es -> List.for_all safe_operand es
-  | Pexp_constraint (e, _) -> safe_operand e
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-      match flat txt with
-      | [ ("List" | "Array" | "String" | "Bytes" | "Hashtbl" | "Queue");
-          "length" ]
-      | [ "List"; "compare_lengths" ]
-      | [ "Char"; "code" ]
-      | [ "Array"; "dim" ] ->
-          true
-      | _ -> false)
+  match e.exp_desc with
+  | Texp_constant
+      ( Const_int _ | Const_int32 _ | Const_int64 _ | Const_nativeint _
+      | Const_char _ | Const_string _ ) ->
+      true
+  | Texp_construct ({ txt = Lident "::"; _ }, _, [ hd; tl ]) ->
+      safe_operand hd && safe_operand tl
+  | Texp_construct ({ txt = Lident "Some"; _ }, _, [ arg ]) -> safe_operand arg
+  | Texp_construct (_, _, []) -> true (* (), [], true, None, Covered, ... *)
+  | Texp_variant (_, None) -> true
+  | Texp_tuple es -> List.for_all safe_operand es
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
+      List.mem (resolved p) safe_calls
   | _ -> false
 
-(* Operands that syntactically carry floats. *)
-let rec floatish e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
-  | Pexp_ident { txt; _ } -> (
-      match flat txt with
-      | [ ("infinity" | "nan" | "epsilon_float" | "max_float" | "min_float") ]
-      | [ "Float";
-          ( "nan" | "infinity" | "neg_infinity" | "pi" | "epsilon"
-          | "max_float" | "min_float" ) ] ->
-          true
-      | _ -> false)
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-      match flat txt with
-      | [ ("~-." | "+." | "-." | "*." | "/." | "**") ]
-      | [ ( "float_of_int" | "float_of_string" | "sqrt" | "exp" | "log"
-          | "log10" | "log1p" | "expm1" | "ceil" | "floor" | "abs_float"
-          | "mod_float" | "atan" | "atan2" | "sin" | "cos" | "tan" ) ]
-      | "Float"
-        :: [ ( "of_int" | "of_string" | "abs" | "min" | "max" | "add" | "sub"
-             | "mul" | "div" | "rem" | "pow" | "sqrt" | "exp" | "log"
-             | "succ" | "pred" | "round" | "trunc" ) ] ->
-          true
-      | _ -> false)
-  | Pexp_constraint
-      (_, { ptyp_desc = Ptyp_constr ({ txt = Lident "float"; _ }, []); _ }) ->
-      true
-  | Pexp_constraint (e, _) -> floatish e
-  | _ -> false
+let floatish e = Callgraph.is_float_ty e.exp_type
 
 (* Compound structural operands: records, tuples, non-trivial
    constructor applications — ordering or equality on these invokes
    the polymorphic runtime walk. *)
 let compound_literal e =
-  match e.pexp_desc with
-  | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
-  | Pexp_construct (_, Some _) -> not (safe_operand e)
+  match e.exp_desc with
+  | Texp_tuple _ | Texp_record _ | Texp_array _ -> true
+  | Texp_construct (_, _, _ :: _) -> not (safe_operand e)
   | _ -> false
 
 let eq_op = function "=" | "<>" | "==" | "!=" -> true | _ -> false
 let ord_op = function "<" | "<=" | ">" | ">=" -> true | _ -> false
+let cmp_op op = eq_op op || ord_op op || op = "min" || op = "max"
 
-(* [compare] / operators, bare or [Stdlib.]-qualified. *)
-let op_base lid =
-  match flat lid with
-  | [ op ] | [ ("Stdlib" | "Pervasives"); op ] -> Some op
+let compare_apply ~strict op a b =
+  if eq_op op then
+    let hazard =
+      if strict then not (safe_operand a || safe_operand b)
+      else floatish a || floatish b || compound_literal a || compound_literal b
+    in
+    if hazard then
+      Some
+        ( Printf.sprintf
+            "polymorphic (%s) on operands not syntactically immediate" op,
+          "use a typed equality (Float.equal, Int.equal, String.equal, \
+           List.equal ...) or pattern matching" )
+    else None
+  else if ord_op op && (compound_literal a || compound_literal b) then
+    Some
+      ( Printf.sprintf "polymorphic ordering (%s) on compound values" op,
+        "compare fields explicitly with typed comparators" )
+  else if (op = "min" || op = "max") && (floatish a || floatish b) then
+    Some
+      ( Printf.sprintf "polymorphic %s on floats (NaN falls through (<=))" op,
+        "use Float.min / Float.max (NaN-aware)" )
+  else None
+
+let compare_ident ~strict p lid =
+  match stdlib_name p with
+  | Some "compare" ->
+      Some
+        ( Printf.sprintf "polymorphic %s (structural, NaN-hostile)"
+            (spelled lid),
+          "use Float.compare / Int.compare / String.compare or a derived \
+           comparator" )
+  (* (=) passed as a first-class function: as dangerous as calling it,
+     inside lib/ *)
+  | Some op when eq_op op && strict ->
+      Some
+        ( Printf.sprintf "polymorphic (%s) used as a function value" op,
+          "pass a typed equality instead" )
   | _ -> None
-
-let toplevel_defines_compare st =
-  List.exists
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, bindings) ->
-          List.exists
-            (fun vb ->
-              let rec pat_is_compare p =
-                match p.ppat_desc with
-                | Ppat_var { txt = "compare"; _ } -> true
-                | Ppat_constraint (p, _) -> pat_is_compare p
-                | _ -> false
-              in
-              pat_is_compare vb.pvb_pat)
-            bindings
-      | _ -> false)
-    st
-
-let check_poly_compare ctx src =
-  let local_compare =
-    match src.Source.ast with
-    | Source.Impl st -> toplevel_defines_compare st
-    | Source.Intf _ -> false
-  in
-  collect ctx "poly-compare" Finding.Error @@ fun emit ->
-  let check_compare_ident txt loc =
-    match flat txt with
-    | [ "compare" ] when not local_compare ->
-        emit ~loc
-          ~suggestion:
-            "use Float.compare / Int.compare / String.compare or a derived \
-             comparator"
-          "polymorphic compare (structural, NaN-hostile)"
-    | [ ("Stdlib" | "Pervasives"); "compare" ] ->
-        emit ~loc
-          ~suggestion:
-            "use Float.compare / Int.compare / String.compare or a derived \
-             comparator"
-          "polymorphic Stdlib.compare (structural, NaN-hostile)"
-    | _ -> ()
-  in
-  let check_apply op loc args =
-    match args with
-    | [ (_, a); (_, b) ] ->
-        if eq_op op then begin
-          let strict = in_lib ctx.rel_path in
-          let hazard =
-            if strict then not (safe_operand a || safe_operand b)
-            else
-              floatish a || floatish b || compound_literal a
-              || compound_literal b
-          in
-          if hazard then
-            emit ~loc
-              ~suggestion:
-                "use a typed equality (Float.equal, Int.equal, String.equal, \
-                 List.equal ...) or pattern matching"
-              (Printf.sprintf
-                 "polymorphic (%s) on operands not syntactically immediate" op)
-        end
-        else if ord_op op && (compound_literal a || compound_literal b) then
-          emit ~loc
-            ~suggestion:"compare fields explicitly with typed comparators"
-            (Printf.sprintf "polymorphic ordering (%s) on compound values" op)
-        else if
-          (op = "min" || op = "max") && (floatish a || floatish b)
-        then
-          emit ~loc
-            ~suggestion:"use Float.min / Float.max (NaN-aware)"
-            (Printf.sprintf
-               "polymorphic %s on floats (NaN falls through (<=))" op)
-    | _ -> ()
-  in
-  let hook (super : Ast_iterator.iterator) self e =
-    match e.pexp_desc with
-    | Pexp_apply (({ pexp_desc = Pexp_ident { txt; loc }; _ } as fn), args)
-      -> (
-        (match op_base txt with
-        | Some op when eq_op op || ord_op op || op = "min" || op = "max" ->
-            check_apply op loc args;
-            (* the operator ident itself is handled here: recurse only
-               into the arguments *)
-            List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args
-        | _ ->
-            (* the function ident is visited by the recursion below *)
-            self.Ast_iterator.expr self fn;
-            List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args))
-    | Pexp_ident { txt; loc } -> (
-        check_compare_ident txt loc;
-        (* (=) passed as a first-class function: as dangerous as calling
-           it, inside lib/ *)
-        match op_base txt with
-        | Some op when eq_op op && in_lib ctx.rel_path ->
-            emit ~loc
-              ~suggestion:"pass a typed equality instead"
-              (Printf.sprintf "polymorphic (%s) used as a function value" op)
-        | _ -> ())
-    | _ -> super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* nondet                                                              *)
-
-let check_nondet ctx src =
-  collect ctx "nondet" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | "Random" :: _ ->
-            emit ~loc
-              ~suggestion:
-                "draw from Search_numerics.Prng (splittable, replayable) \
-                 instead"
-              (Printf.sprintf "ambient PRNG %s breaks deterministic replay"
-                 (lid_name txt))
-        | [ "Sys"; "time" ]
-        | [ "Unix"; ("gettimeofday" | "time" | "times") ] ->
-            emit ~loc
-              ~suggestion:
-                "time only inside Search_exec.Metrics, which never feeds \
-                 results"
-              (Printf.sprintf "wall-clock read %s is nondeterministic"
-                 (lid_name txt))
-        | [ "Hashtbl"; ("hash" | "seeded_hash" | "randomize") ] ->
-            emit ~loc
-              ~suggestion:"hash with an explicit, versioned function"
-              (Printf.sprintf "%s depends on runtime representation"
-                 (lid_name txt))
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* float-hygiene                                                       *)
-
-let check_float_hygiene ctx src =
-  collect ctx "float-hygiene" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | [ "nan" ] | [ "Float"; "nan" ] ->
-            emit ~loc
-              ~suggestion:
-                "model absence with option; NaN poisons comparisons and \
-                 silently passes (<=) guards"
-              "literal NaN constructed"
-        | [ "float_of_string" ] | [ "Float"; "of_string" ] ->
-            emit ~loc
-              ~suggestion:
-                "use float_of_string_opt and handle the failure explicitly"
-              "unguarded float_of_string raises on bad input"
-        | _ -> ())
-    | Pexp_apply
-        ( { pexp_desc = Pexp_ident { txt = Lident "/."; loc }; _ },
-          [ _; (_, { pexp_desc = Pexp_constant (Pconst_float (lit, None)); _ })
-          ] ) -> (
-        match float_of_string_opt lit with
-        | Some z when Float.equal z 0. ->
-            emit ~loc "division by the float literal 0. yields inf/NaN"
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* lock-discipline                                                     *)
-
-let check_lock_discipline ctx src =
-  collect ctx "lock-discipline" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | [ "Mutex"; ("lock" | "unlock") ] ->
-            emit ~loc
-              ~suggestion:
-                "wrap the critical section in Mutex.protect (or Fun.protect \
-                 ~finally) so exceptions cannot leave the mutex held"
-              (Printf.sprintf "bare %s outside an unwind guard" (lid_name txt))
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* unsafe-ops                                                          *)
-
-let check_unsafe_ops ctx src =
-  collect ctx "unsafe-ops" Finding.Error @@ fun emit ->
-  let prim_finding vd =
-    if
-      List.exists
-        (fun p -> p = "%identity" || String.starts_with ~prefix:"%obj_" p)
-        vd.pval_prim
-    then
-      emit ~loc:vd.pval_loc
-        ~suggestion:"write the conversion honestly, or isolate and test it"
-        (Printf.sprintf "external %S uses an unchecked primitive"
-           vd.pval_name.Location.txt)
-  in
-  let super = Ast_iterator.default_iterator in
-  let it =
-    {
-      super with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; loc } -> (
-              match flat txt with
-              | [ "Obj"; ("magic" | "repr" | "obj") ] ->
-                  emit ~loc
-                    ~suggestion:"restructure so the types are honest"
-                    (Printf.sprintf "%s defeats the type system" (lid_name txt))
-              | [ ("Array" | "String" | "Bytes" | "Float"); prim ]
-                when String.starts_with ~prefix:"unsafe_" prim ->
-                  emit ~loc
-                    ~suggestion:
-                      "use the bounds-checked accessor; prove the win with \
-                       bench/ before ever reconsidering"
-                    (Printf.sprintf "%s skips bounds checks" (lid_name txt))
-              | _ -> ())
-          | _ -> ());
-          super.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.pstr_desc with
-          | Pstr_primitive vd -> prim_finding vd
-          | _ -> ());
-          super.structure_item self item);
-      signature_item =
-        (fun self item ->
-          (match item.psig_desc with
-          | Psig_value vd when vd.pval_prim <> [] -> prim_finding vd
-          | _ -> ());
-          super.signature_item self item);
-    }
-  in
-  iter_source it src
-
-(* ------------------------------------------------------------------ *)
-(* output-discipline                                                   *)
-
-let check_output_discipline ctx src =
-  collect ctx "output-discipline" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | [ ( "print_string" | "print_endline" | "print_newline"
-            | "print_char" | "print_int" | "print_float" | "print_bytes"
-            | "prerr_string" | "prerr_endline" | "prerr_newline"
-            | "prerr_char" | "stdout" | "stderr" ) ]
-        | [ "Printf"; ("printf" | "eprintf") ]
-        | [ "Format";
-            ( "printf" | "eprintf" | "print_string" | "print_newline"
-            | "print_flush" ) ] ->
-            emit ~loc
-              ~suggestion:
-                "library code returns data; route output through Report / \
-                 Table / Event_log / Metrics, or take a Format.formatter"
-              (Printf.sprintf "direct console output via %s inside lib/"
-                 (lid_name txt))
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* mli-coverage                                                        *)
-
-let check_mli_coverage ctx src =
-  match src.Source.ast with
-  | Source.Intf _ -> []
-  | Source.Impl _ ->
-      if ctx.has_mli then []
-      else
-        [
-          Finding.v ~rule:"mli-coverage" ~severity:Finding.Warning
-            ~file:ctx.rel_path
-            ~loc:(Location.in_file ctx.rel_path)
-            ~suggestion:
-              "add an interface: undocumented exports become load-bearing"
-            "module has no .mli";
-        ]
 
 (* ------------------------------------------------------------------ *)
 (* closed-variant-wildcard                                             *)
@@ -428,175 +267,181 @@ let closed_constructors =
     "Case1"; "Case2";
   ]
 
-let rec head_constructors p =
-  match p.ppat_desc with
-  | Ppat_construct ({ txt; _ }, _) -> [ Longident.last txt ]
-  | Ppat_or (a, b) -> head_constructors a @ head_constructors b
-  | Ppat_alias (p, _) | Ppat_constraint (p, _) -> head_constructors p
+let rec head_constructors (p : pattern) =
+  match p.pat_desc with
+  | Tpat_construct (lid, _, _, _) -> [ Longident.last lid.txt ]
+  | Tpat_or (a, b, _) -> head_constructors a @ head_constructors b
+  | Tpat_alias (p, _, _) -> head_constructors p
   | _ -> []
 
-let rec is_catch_all p =
-  match p.ppat_desc with
-  | Ppat_any | Ppat_var _ -> true
-  | Ppat_alias (p, _) | Ppat_constraint (p, _) -> is_catch_all p
+let rec is_catch_all (p : pattern) =
+  match p.pat_desc with
+  | Tpat_any | Tpat_var _ -> true
+  | Tpat_alias (p, _, _) -> is_catch_all p
   | _ -> false
 
-let check_closed_variant ctx src =
-  collect ctx "closed-variant-wildcard" Finding.Warning @@ fun emit ->
-  let check_cases cases =
-    if List.for_all (fun c -> c.pc_guard = None) cases then begin
-      let closed =
-        List.concat_map (fun c -> head_constructors c.pc_lhs) cases
-        |> List.filter (fun c -> List.mem c closed_constructors)
-      in
-      match closed with
-      | [] -> ()
-      | witness :: _ ->
-          List.iter
-            (fun c ->
-              if is_catch_all c.pc_lhs then
-                emit ~loc:c.pc_lhs.ppat_loc
-                  ~suggestion:"list the remaining constructors explicitly"
-                  (Printf.sprintf
-                     "catch-all arm in a match on the closed variant of %s: \
-                      a new constructor would be silently swallowed"
-                     witness))
-            cases
-    end
-  in
-  let hook (super : Ast_iterator.iterator) self e =
-    (* [try ... with] arms are exempt: exception sets are open by design *)
-    (match e.pexp_desc with
-    | Pexp_match (_, cases) | Pexp_function cases -> check_cases cases
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
+(* [arms] are the value patterns; [guarded] says whether any arm of the
+   whole match carries a guard.  [try ... with] arms are never passed
+   in: exception sets are open by design. *)
+let wildcard_arms ~guarded arms =
+  if guarded then []
+  else
+    match
+      List.filter
+        (fun c -> List.mem c closed_constructors)
+        (List.concat_map head_constructors arms)
+    with
+    | [] -> []
+    | witness :: _ ->
+        List.filter_map
+          (fun p ->
+            if is_catch_all p then
+              Some
+                ( p.pat_loc,
+                  Printf.sprintf
+                    "catch-all arm in a match on the closed variant of %s: a \
+                     new constructor would be silently swallowed"
+                    witness )
+            else None)
+          arms
 
 (* ------------------------------------------------------------------ *)
 (* global-mutable-state                                                *)
 
-let check_global_mutable ctx src =
-  match src.Source.ast with
-  | Source.Intf _ -> []
-  | Source.Impl st ->
-      collect ctx "global-mutable-state" Finding.Warning @@ fun emit ->
-      let mutable_ctor e =
-        match e.pexp_desc with
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-            match flat txt with
-            | [ "ref" ]
-            | [ ("Hashtbl" | "Queue" | "Stack" | "Buffer" | "Dynarray");
-                "create" ]
-            | [ "Array"; ("make" | "create_float" | "init") ]
-            | [ "Atomic"; "make" ] ->
-                Some (lid_name txt)
-            | _ -> None)
-        | _ -> None
-      in
-      List.iter
-        (fun item ->
-          match item.pstr_desc with
-          | Pstr_value (_, bindings) ->
-              List.iter
-                (fun vb ->
-                  match mutable_ctor vb.pvb_expr with
-                  | Some ctor ->
-                      emit ~loc:vb.pvb_loc
-                        ~suggestion:
-                          "thread the state through a [create]d handle, or \
-                           guard it like Metrics' write lock"
-                        (Printf.sprintf
-                           "top-level mutable state (%s) is shared by every \
-                            domain"
-                           ctor)
-                  | None -> ())
-                bindings
-          | _ -> ())
-        st
+let mutable_ctor e =
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, _) -> (
+      match resolved p with
+      | "ref" | "Hashtbl.create" | "Queue.create" | "Stack.create"
+      | "Buffer.create" | "Dynarray.create" | "Array.make"
+      | "Array.create_float" | "Array.init" | "Atomic.make" ->
+          Some (spelled lid)
+      | _ -> None)
+  | _ -> None
+
+let global_mutable
+    (emit : string -> ?suggestion:string -> loc:Location.t -> string -> unit)
+    (st : structure) =
+  List.iter
+    (fun item ->
+      match item.str_desc with
+      | Tstr_value (_, bindings) ->
+          List.iter
+            (fun vb ->
+              Option.iter
+                (fun ctor ->
+                  emit "global-mutable-state" ~loc:vb.vb_loc
+                    ~suggestion:
+                      "thread the state through a [create]d handle, or guard \
+                       it like Metrics' write lock"
+                    (Printf.sprintf
+                       "top-level mutable state (%s) is shared by every domain"
+                       ctor))
+                (mutable_ctor vb.vb_expr))
+            bindings
+      | _ -> ())
+    st.str_items
 
 (* ------------------------------------------------------------------ *)
-(* registry                                                            *)
+(* the one traversal                                                   *)
 
-let all =
-  [
-    {
-      id = "poly-compare";
-      severity = Finding.Error;
-      doc =
-        "polymorphic compare/equality on non-immediate values (floats, \
-         float-carrying records)";
-      applies = everywhere;
-      check = check_poly_compare;
-    };
-    {
-      id = "nondet";
-      severity = Finding.Error;
-      doc =
-        "ambient nondeterminism: Random.*, wall clocks, representation \
-         hashing";
-      applies = everywhere;
-      check = check_nondet;
-    };
-    {
-      id = "float-hygiene";
-      severity = Finding.Error;
-      doc = "NaN literals, unguarded float_of_string, division by 0.";
-      applies = not_in_test;
-      check = check_float_hygiene;
-    };
-    {
-      id = "lock-discipline";
-      severity = Finding.Error;
-      doc = "bare Mutex.lock/unlock outside Mutex.protect/Fun.protect";
-      applies = everywhere;
-      check = check_lock_discipline;
-    };
-    {
-      id = "unsafe-ops";
-      severity = Finding.Error;
-      doc = "Obj.magic, unsafe_get/set, %identity externals";
-      applies = everywhere;
-      check = check_unsafe_ops;
-    };
-    {
-      id = "output-discipline";
-      severity = Finding.Error;
-      doc = "direct stdout/stderr printing inside lib/";
-      applies = in_lib;
-      check = check_output_discipline;
-    };
-    {
-      id = "mli-coverage";
-      severity = Finding.Warning;
-      doc = "every lib/ module ships an interface";
-      applies = in_lib;
-      check = check_mli_coverage;
-    };
-    {
-      id = "closed-variant-wildcard";
-      severity = Finding.Warning;
-      doc = "catch-all _ arm in matches on closed domain variants";
-      applies = in_lib;
-      check = check_closed_variant;
-    };
-    {
-      id = "global-mutable-state";
-      severity = Finding.Warning;
-      doc = "top-level refs/tables shared across domains";
-      applies = in_lib;
-      check = check_global_mutable;
-    };
-  ]
-
-let find id = List.find_opt (fun r -> String.equal r.id id) all
-
-let run ?only ctx src =
-  let selected =
-    match only with
-    | None -> all
-    | Some ids -> List.filter (fun r -> List.mem r.id ids) all
+let check ~file (u : Cmt_loader.unit_info) =
+  let acc = ref [] in
+  let emit id ?suggestion ~loc message =
+    Option.iter
+      (fun f -> acc := f :: !acc)
+      (finding ~file ?suggestion ~loc id message)
   in
-  List.concat_map
-    (fun r -> if r.applies ctx.rel_path then r.check ctx src else [])
-    selected
+  let strict = in_lib file in
+  let ident p (lid : Longident.t Location.loc) =
+    List.iter
+      (fun (id, message, suggestion) ->
+        emit id ~loc:lid.loc ~suggestion message)
+      (ident_hits (resolved p) (spelled lid));
+    Option.iter
+      (fun (message, suggestion) ->
+        emit "poly-compare" ~loc:lid.loc ~suggestion message)
+      (compare_ident ~strict p lid)
+  in
+  let wildcards ~guarded arms =
+    List.iter
+      (fun (loc, message) ->
+        emit "closed-variant-wildcard" ~loc
+          ~suggestion:"list the remaining constructors explicitly" message)
+      (wildcard_arms ~guarded arms)
+  in
+  let guarded cases = List.exists (fun c -> Option.is_some c.c_guard) cases in
+  let super = Tast_iterator.default_iterator in
+  let expr self e =
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, args)
+      when Option.fold ~none:false ~some:cmp_op (stdlib_name p) ->
+        (match args with
+        | [ (_, Some a); (_, Some b) ] ->
+            Option.iter
+              (fun (message, suggestion) ->
+                emit "poly-compare" ~loc:lid.loc ~suggestion message)
+              (compare_apply ~strict (resolved p) a b)
+        | _ -> ());
+        (* the operator ident itself is handled here: recurse only into
+           the arguments *)
+        List.iter
+          (fun (_, a) -> Option.iter (self.Tast_iterator.expr self) a)
+          args
+    | _ ->
+        (match e.exp_desc with
+        | Texp_ident (p, lid, _) -> ident p lid
+        | Texp_apply
+            ( { exp_desc = Texp_ident (p, lid, _); _ },
+              [ _; (_, Some { exp_desc = Texp_constant (Const_float lit); _ }) ]
+            )
+          when String.equal (Path.name p) "Stdlib./." -> (
+            match float_of_string_opt lit with
+            | Some z when Float.equal z 0. ->
+                emit "float-hygiene" ~loc:lid.loc
+                  "division by the float literal 0. yields inf/NaN"
+            | _ -> ())
+        | Texp_match (_, cases, _) ->
+            wildcards ~guarded:(guarded cases)
+              (List.filter_map (fun c -> fst (split_pattern c.c_lhs)) cases)
+        | Texp_function { cases; _ } ->
+            wildcards ~guarded:(guarded cases)
+              (List.map (fun c -> c.c_lhs) cases)
+        | _ -> ());
+        super.expr self e
+  in
+  let value_description self vd =
+    if
+      List.exists
+        (fun p -> p = "%identity" || String.starts_with ~prefix:"%obj_" p)
+        vd.val_prim
+    then
+      emit "unsafe-ops" ~loc:vd.val_loc
+        ~suggestion:"write the conversion honestly, or isolate and test it"
+        (Printf.sprintf "external %S uses an unchecked primitive"
+           vd.val_name.txt);
+    super.value_description self vd
+  in
+  let it = { super with expr; value_description } in
+  Option.iter
+    (fun st ->
+      it.structure it st;
+      global_mutable emit st)
+    u.structure;
+  Option.iter (it.signature it) u.signature;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* mli-coverage                                                        *)
+
+let mli_coverage sources =
+  List.filter_map
+    (fun path ->
+      if Filename.check_suffix path ".ml" && not (List.mem (path ^ "i") sources)
+      then
+        finding ~file:path ~loc:(Location.in_file path)
+          ~suggestion:
+            "add an interface: undocumented exports become load-bearing"
+          "mli-coverage" "module has no .mli"
+      else None)
+    sources

@@ -1,10 +1,12 @@
-(** The rule registry.
+(** The per-file rule registry.
 
-    Every rule is a syntactic pass over one parsed source file; rules
-    never see type information, so each one documents (in [doc] and in
-    DESIGN.md) the approximation it makes.  Rules are derived from this
-    repo's actual failure modes — each has a motivating bug from PR 1
-    or PR 2 — and their union is the project's determinism and
+    Every rule but [mli-coverage] is a pass over one unit's Typedtree
+    (read from its [.cmt], or its [.cmti] for [unsafe-ops] externals),
+    so names are matched after resolution: the ident rules compare the
+    resolved path with one leading [Stdlib.] stripped, [poly-compare]
+    reads operand types.  [mli-coverage] works from the discovered
+    source list.  Rules are derived from this repo's actual failure
+    modes, and their union is the project's determinism and
     numeric-safety contract.
 
     Rule ids (stable, used in findings and [lint.allow]):
@@ -17,29 +19,23 @@
     - [mli-coverage] — [lib/] modules without an interface file
     - [closed-variant-wildcard] — catch-all [_] in matches on closed
       domain variants
-    - [global-mutable-state] — top-level refs/tables in [lib/]
-
-    (The driver adds a tenth pseudo-rule, [parse], for files the
-    compiler front end rejects.) *)
-
-type ctx = {
-  rel_path : string;  (** root-relative path of the file under scrutiny *)
-  has_mli : bool;  (** does a sibling [.mli] exist? ([mli-coverage]) *)
-}
+    - [global-mutable-state] — top-level refs/tables in [lib/] *)
 
 type rule = {
   id : string;
   severity : Finding.severity;
   doc : string;  (** one-line description for [--rules] listings *)
   applies : string -> bool;  (** path scope, e.g. [lib/] only *)
-  check : ctx -> Source.t -> Finding.t list;
 }
 
 val all : rule list
 (** The registry, in reporting order. *)
 
-val find : string -> rule option
+val check : file:string -> Cmt_loader.unit_info -> Finding.t list
+(** Every registered rule whose [applies] accepts [file], over the unit
+    compiled from [file], in one traversal.  Findings come back
+    unsorted; the driver sorts. *)
 
-val run : ?only:string list -> ctx -> Source.t -> Finding.t list
-(** Run every registered rule (or just [only]) whose [applies] accepts
-    the file.  Findings come back unsorted; the driver sorts. *)
+val mli_coverage : string list -> Finding.t list
+(** [mli-coverage] over a discovered source list: one finding per
+    [lib/] [.ml] with no sibling [.mli] in the list. *)

@@ -1,6 +1,6 @@
 (* Interprocedural nondeterminism taint.
 
-   Sources are the same clocks and PRNG entry points the syntactic
+   Sources are the same clocks and PRNG entry points the per-file
    [nondet] rule knows, but here a def is tainted when it *reaches* one
    through any chain of top-level calls — the pure-looking helper three
    calls away from [Random.int] gets reported too, with the full chain.

@@ -42,11 +42,14 @@
       pointwise detection-ratio extremes of the support.
     - [exec.jobs_invariance] — a sharded stochastic map over the case is
       bit-identical at pool sizes 1 and 3.
-    - [analysis.self_clean] — the {!Search_analysis} lint pass over the
-      repository's own sources reports no findings beyond the checked-in
-      [lint.allow] entries.  Evaluated once per process (the verdict is
-      case-independent); vacuously satisfied when the source tree is not
-      reachable from the working directory. *)
+    - [analysis.self_clean] — the full {!Search_analysis} lint (the
+      one [dune build @lint] runs) over the repository's own sources and
+      their typed artefacts reports no findings beyond the checked-in
+      [lint.allow] and [lint.budget] entries; a missing or stale
+      artefact is a violation, so build with [dune build @check] first.
+      Evaluated once per process (the verdict is case-independent);
+      vacuously satisfied when the source tree is not reachable from
+      the working directory. *)
 
 type violation = { invariant : string; detail : string }
 
@@ -62,16 +65,6 @@ val register : name:string -> (Case.t -> string list) -> unit
     directly (which would be a dependency cycle).  Extensions receive
     the raw case (no [ctx]) and run after the built-in catalogue, in
     name order. *)
-
-val register_escape_invariant : unit -> unit
-(** Register [analysis.escape_self_clean] through {!register}: the
-    {!Search_analysis} escape family ([--escape] — exception flow,
-    release discipline, sim hygiene) over the repository's own build
-    artefacts reports nothing beyond the checked-in [lint.allow]
-    entries.  Like [analysis.self_clean] the verdict is computed once
-    per process; it is vacuously satisfied when the source tree — or
-    the [.cmt] build tree next to it — is not reachable from the
-    working directory. *)
 
 val check_case : Case.t -> violation list
 (** Run the whole catalogue (plus registered extensions) on one case.

@@ -1,11 +1,11 @@
 (* Tests for the determinism & numeric-safety lint pass: per-rule
-   positive/negative fixtures through [Driver.lint_string], the finding
-   JSON round-trip, the allowlist parser, and byte-identical reports at
-   different pool sizes. *)
+   positive/negative compiled fixtures through [Driver.run], the
+   missing/stale artefact contract, the finding JSON round-trip, the
+   allowlist parser, and byte-identical reports at different pool
+   sizes. *)
 
 module Finding = Search_analysis.Finding
 module Allow = Search_analysis.Allow
-module Rules = Search_analysis.Rules
 module Driver = Search_analysis.Driver
 
 let check_bool = Alcotest.(check bool)
@@ -13,142 +13,250 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
-(* Fixtures *)
+(* Fixtures: each test compiles one tree (one module per case, so the
+   cases cannot mask each other) and lints it once. *)
 
-let rules_hit ?rules ?has_mli ~path src =
-  Driver.lint_string ?rules ?has_mli ~path src
-  |> List.map (fun f -> f.Finding.rule)
-  |> List.sort_uniq String.compare
+let with_ocamlc = Fixture.with_ocamlc
 
-let hits rule ?has_mli ~path src =
-  List.exists (String.equal rule) (rules_hit ?has_mli ~path src)
+let lint ?rules files =
+  let root = Fixture.compiled_tree files in
+  (Driver.run ~jobs:1 ?rules ~root ()).Driver.findings
+
+(* [hits findings rule path]: did [rule] fire in [path]? *)
+let hits findings rule path =
+  List.exists
+    (fun f -> String.equal f.Finding.rule rule && String.equal f.Finding.file path)
+    findings
 
 let test_poly_compare () =
-  check_bool "float (=) in lib" true
-    (hits "poly-compare" ~path:"lib/sim/fix.ml" "let eq (a : float) b = a = b");
-  check_bool "bare compare" true
-    (hits "poly-compare" ~path:"lib/sim/fix.ml" "let c x y = compare x y");
-  check_bool "compare via min" true
-    (hits "poly-compare" ~path:"lib/sim/fix.ml" "let m a = min a 1.5");
-  check_bool "immediate operand ok" false
-    (hits "poly-compare" ~path:"lib/sim/fix.ml" "let z n = n = 0");
-  check_bool "Int.equal ok" false
-    (hits "poly-compare" ~path:"lib/sim/fix.ml" "let e a b = Int.equal a b");
-  check_bool "local compare definition ok" false
-    (hits "poly-compare" ~path:"lib/sim/fix.ml"
-       "let compare a b = Int.compare a b\nlet user x y = compare x y");
-  (* outside lib/ only float-smelling or structured operands count *)
-  check_bool "ident (=) in tests ok" false
-    (hits "poly-compare" ~path:"test/fix.ml" "let eq a b = a = b");
-  check_bool "float (=) in tests flagged" true
-    (hits "poly-compare" ~path:"test/fix.ml" "let eq a = a = 1.5")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/float_eq.ml", "let eq (a : float) b = a = b\n");
+        ("lib/sim/bare_compare.ml", "let c x y = compare x y\n");
+        ("lib/sim/float_min.ml", "let m a = min a 1.5\n");
+        ("lib/sim/int_eq.ml", "let z n = n = 0\n");
+        ("lib/sim/typed_eq.ml", "let e a b = Int.equal a b\n");
+        ( "lib/sim/local_compare.ml",
+          "let compare a b = Int.compare a b\nlet user x y = compare x y\n" );
+        ("test/poly_eq.ml", "let eq a b = a = b\n");
+        ("test/float_lit_eq.ml", "let eq a = a = 1.5\n");
+      ]
+  in
+  let hit = hits fs "poly-compare" in
+  check_bool "float (=) in lib" true (hit "lib/sim/float_eq.ml");
+  check_bool "bare compare" true (hit "lib/sim/bare_compare.ml");
+  check_bool "compare via min" true (hit "lib/sim/float_min.ml");
+  check_bool "immediate operand ok" false (hit "lib/sim/int_eq.ml");
+  check_bool "Int.equal ok" false (hit "lib/sim/typed_eq.ml");
+  check_bool "local compare definition ok" false (hit "lib/sim/local_compare.ml");
+  (* outside lib/ only float-typed or structured operands count *)
+  check_bool "ident (=) in tests ok" false (hit "test/poly_eq.ml");
+  check_bool "float (=) in tests flagged" true (hit "test/float_lit_eq.ml")
 
 let test_nondet () =
-  check_bool "Random" true
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let r () = Random.int 5");
-  check_bool "Sys.time" true
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let t () = Sys.time ()");
-  check_bool "Hashtbl.hash" true
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let h x = Hashtbl.hash x");
-  check_bool "pure code ok" false
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let r () = 5")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/rand.ml", "let r () = Random.int 5\n");
+        ("lib/sim/systime.ml", "let t () = Sys.time ()\n");
+        ("lib/sim/hash.ml", "let h x = Hashtbl.hash x\n");
+        ("lib/sim/pure.ml", "let r () = 5\n");
+      ]
+  in
+  let hit = hits fs "nondet" in
+  check_bool "Random" true (hit "lib/sim/rand.ml");
+  check_bool "Sys.time" true (hit "lib/sim/systime.ml");
+  check_bool "Hashtbl.hash" true (hit "lib/sim/hash.ml");
+  check_bool "pure code ok" false (hit "lib/sim/pure.ml")
 
 let test_float_hygiene () =
-  check_bool "nan literal" true
-    (hits "float-hygiene" ~path:"lib/sim/fix.ml" "let x = nan");
-  check_bool "unguarded float_of_string" true
-    (hits "float-hygiene" ~path:"lib/sim/fix.ml"
-       "let f s = float_of_string s");
-  check_bool "float_of_string_opt ok" false
-    (hits "float-hygiene" ~path:"lib/sim/fix.ml"
-       "let f s = float_of_string_opt s")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/nan_lit.ml", "let x = nan\n");
+        ("lib/sim/parse_float.ml", "let f s = float_of_string s\n");
+        ("lib/sim/parse_float_opt.ml", "let f s = float_of_string_opt s\n");
+      ]
+  in
+  let hit = hits fs "float-hygiene" in
+  check_bool "nan literal" true (hit "lib/sim/nan_lit.ml");
+  check_bool "unguarded float_of_string" true (hit "lib/sim/parse_float.ml");
+  check_bool "float_of_string_opt ok" false (hit "lib/sim/parse_float_opt.ml")
 
 let test_lock_discipline () =
-  check_bool "bare lock" true
-    (hits "lock-discipline" ~path:"lib/exec/fix.ml" "let f m = Mutex.lock m");
-  check_bool "bare unlock" true
-    (hits "lock-discipline" ~path:"lib/exec/fix.ml"
-       "let f m = Mutex.unlock m");
-  check_bool "Mutex.protect ok" false
-    (hits "lock-discipline" ~path:"lib/exec/fix.ml"
-       "let f m g = Mutex.protect m g")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/exec/bare_lock.ml", "let f m = Mutex.lock m\n");
+        ("lib/exec/bare_unlock.ml", "let f m = Mutex.unlock m\n");
+        ("lib/exec/protected.ml", "let f m g = Mutex.protect m g\n");
+      ]
+  in
+  let hit = hits fs "lock-discipline" in
+  check_bool "bare lock" true (hit "lib/exec/bare_lock.ml");
+  check_bool "bare unlock" true (hit "lib/exec/bare_unlock.ml");
+  check_bool "Mutex.protect ok" false (hit "lib/exec/protected.ml")
 
 let test_unsafe_ops () =
-  check_bool "Obj.magic" true
-    (hits "unsafe-ops" ~path:"lib/sim/fix.ml" "let f x = Obj.magic x");
-  check_bool "unsafe_get" true
-    (hits "unsafe-ops" ~path:"lib/sim/fix.ml"
-       "let f a = Array.unsafe_get a 0");
-  check_bool "%identity external" true
-    (hits "unsafe-ops" ~path:"lib/sim/fix.ml"
-       "external id : int -> int = \"%identity\"");
-  check_bool "safe get ok" false
-    (hits "unsafe-ops" ~path:"lib/sim/fix.ml" "let f a = Array.get a 0")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/magic.ml", "let f x = Obj.magic x\n");
+        ("lib/sim/unsafe.ml", "let f a = Array.unsafe_get a 0\n");
+        ("lib/sim/ident_ext.ml", "external id : int -> int = \"%identity\"\n");
+        ("lib/sim/ident_sig.mli", "external id : int -> int = \"%identity\"\n");
+        ("lib/sim/ident_sig.ml", "external id : int -> int = \"%identity\"\n");
+        ("lib/sim/safe_get.ml", "let f a = Array.get a 0\n");
+      ]
+  in
+  let hit = hits fs "unsafe-ops" in
+  check_bool "Obj.magic" true (hit "lib/sim/magic.ml");
+  check_bool "unsafe_get" true (hit "lib/sim/unsafe.ml");
+  check_bool "%identity external" true (hit "lib/sim/ident_ext.ml");
+  check_bool "%identity external in an interface" true
+    (hit "lib/sim/ident_sig.mli");
+  check_bool "safe get ok" false (hit "lib/sim/safe_get.ml")
 
 let test_output_discipline () =
-  check_bool "print_string in lib" true
-    (hits "output-discipline" ~path:"lib/sim/fix.ml"
-       "let f () = print_string \"x\"");
-  check_bool "Format.printf in lib" true
-    (hits "output-discipline" ~path:"lib/sim/fix.ml"
-       "let f () = Format.printf \"x\"");
-  check_bool "printing in bin ok" false
-    (hits "output-discipline" ~path:"bin/fix.ml"
-       "let f () = print_string \"x\"");
-  check_bool "formatter-passing ok" false
-    (hits "output-discipline" ~path:"lib/sim/fix.ml"
-       "let f ppf = Format.fprintf ppf \"x\"")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/prints.ml", "let f () = print_string \"x\"\n");
+        ("lib/sim/formats.ml", "let f () = Format.printf \"x\"\n");
+        ("bin/cli_prints.ml", "let f () = print_string \"x\"\n");
+        ("lib/sim/formatter.ml", "let f ppf = Format.fprintf ppf \"x\"\n");
+      ]
+  in
+  let hit = hits fs "output-discipline" in
+  check_bool "print_string in lib" true (hit "lib/sim/prints.ml");
+  check_bool "Format.printf in lib" true (hit "lib/sim/formats.ml");
+  check_bool "printing in bin ok" false (hit "bin/cli_prints.ml");
+  check_bool "formatter-passing ok" false (hit "lib/sim/formatter.ml")
 
 let test_mli_coverage () =
-  check_bool "lib module without mli" true
-    (hits "mli-coverage" ~has_mli:false ~path:"lib/sim/fix.ml" "let x = 1");
-  check_bool "lib module with mli ok" false
-    (hits "mli-coverage" ~has_mli:true ~path:"lib/sim/fix.ml" "let x = 1");
-  check_bool "test module without mli ok" false
-    (hits "mli-coverage" ~has_mli:false ~path:"test/fix.ml" "let x = 1")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/no_mli.ml", "let x = 1\n");
+        ("lib/sim/with_mli.mli", "val x : int\n");
+        ("lib/sim/with_mli.ml", "let x = 1\n");
+        ("test/test_no_mli.ml", "let x = 1\n");
+      ]
+  in
+  let hit = hits fs "mli-coverage" in
+  check_bool "lib module without mli" true (hit "lib/sim/no_mli.ml");
+  check_bool "lib module with mli ok" false (hit "lib/sim/with_mli.ml");
+  check_bool "test module without mli ok" false (hit "test/test_no_mli.ml")
 
 let test_closed_variant_wildcard () =
-  check_bool "catch-all over closed variant" true
-    (hits "closed-variant-wildcard" ~path:"lib/sim/fix.ml"
-       "let f k = match k with Fault.Crash -> 1 | _ -> 2");
-  check_bool "exhaustive match ok" false
-    (hits "closed-variant-wildcard" ~path:"lib/sim/fix.ml"
-       "let f k = match k with Fault.Crash -> 1 | Fault.Byzantine -> 2");
-  check_bool "try with is exempt" false
-    (hits "closed-variant-wildcard" ~path:"lib/sim/fix.ml"
-       "let f g = try g () with Not_found -> 1 | _ -> 2")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/fault.ml", "type t = Crash | Byzantine\n");
+        ( "lib/sim/wild.ml",
+          "let f k = match k with Fault.Crash -> 1 | _ -> 2\n" );
+        ( "lib/sim/wild_fun.ml",
+          "let f = function Fault.Crash -> 1 | _ -> 2\n" );
+        ( "lib/sim/exhaustive.ml",
+          "let f k = match k with Fault.Crash -> 1 | Fault.Byzantine -> 2\n" );
+        ( "lib/sim/try_with.ml",
+          "let f g = try g () with Not_found -> 1 | _ -> 2\n" );
+      ]
+  in
+  let hit = hits fs "closed-variant-wildcard" in
+  check_bool "catch-all over closed variant" true (hit "lib/sim/wild.ml");
+  check_bool "catch-all in a function" true (hit "lib/sim/wild_fun.ml");
+  check_bool "exhaustive match ok" false (hit "lib/sim/exhaustive.ml");
+  check_bool "try with is exempt" false (hit "lib/sim/try_with.ml")
 
 let test_global_mutable_state () =
-  check_bool "top-level ref" true
-    (hits "global-mutable-state" ~path:"lib/sim/fix.ml" "let cache = ref 0");
-  check_bool "top-level Hashtbl" true
-    (hits "global-mutable-state" ~path:"lib/sim/fix.ml"
-       "let tbl = Hashtbl.create 16");
-  check_bool "local ref ok" false
-    (hits "global-mutable-state" ~path:"lib/sim/fix.ml"
-       "let count xs = let n = ref 0 in List.iter (fun _ -> incr n) xs; !n");
-  check_bool "top-level mutex ok" false
-    (hits "global-mutable-state" ~path:"lib/sim/fix.ml"
-       "let m = Mutex.create ()")
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/sim/top_ref.ml", "let cache = ref 0\n");
+        ( "lib/sim/top_tbl.ml",
+          "let tbl : (int, int) Hashtbl.t = Hashtbl.create 16\n" );
+        ( "lib/sim/local_ref.ml",
+          "let count xs = let n = ref 0 in List.iter (fun _ -> incr n) xs; !n\n"
+        );
+        ("lib/sim/top_mutex.ml", "let m = Mutex.create ()\n");
+      ]
+  in
+  let hit = hits fs "global-mutable-state" in
+  check_bool "top-level ref" true (hit "lib/sim/top_ref.ml");
+  check_bool "top-level Hashtbl" true (hit "lib/sim/top_tbl.ml");
+  check_bool "local ref ok" false (hit "lib/sim/local_ref.ml");
+  check_bool "top-level mutex ok" false (hit "lib/sim/top_mutex.ml")
 
-let test_parse_error_is_a_finding () =
-  let findings = Driver.lint_string ~path:"lib/sim/fix.ml" "let let let" in
-  check_bool "syntax error reported" true
-    (List.exists (fun f -> String.equal f.Finding.rule "parse") findings)
+(* The artefacts are the lint's only input, so a source without one, or
+   with one compiled from other bytes, must fail loudly (exit 3) and
+   name the file rather than shrink the report. *)
+let fresh_tree () =
+  Fixture.compiled_tree
+    [
+      ("lib/sim/kept.mli", "val x : int\n");
+      ("lib/sim/kept.ml", "let x = 1\n");
+      ("lib/sim/edited.mli", "val y : int\n");
+      ("lib/sim/edited.ml", "let y = 2\n");
+    ]
+
+let internal root rule =
+  let o = Driver.run ~jobs:1 ~root () in
+  check_int "internal exit code" 3 (Driver.exit_code o);
+  List.filter_map
+    (fun f ->
+      if String.equal f.Finding.rule rule then Some f.Finding.file else None)
+    o.Driver.findings
+
+let test_cmt_missing () =
+  with_ocamlc @@ fun () ->
+  let root = fresh_tree () in
+  check_int "fresh tree is clean" 0
+    (Driver.exit_code (Driver.run ~jobs:1 ~rules:[] ~root ()));
+  Sys.remove (Filename.concat root "lib/sim/edited.cmt");
+  Alcotest.(check (list string))
+    "names the source" [ "lib/sim/edited.ml" ] (internal root "cmt-missing")
+
+let test_cmt_stale () =
+  with_ocamlc @@ fun () ->
+  let root = fresh_tree () in
+  Fixture.write_file
+    (Filename.concat root "lib/sim/edited.ml")
+    "let y = 3\n";
+  Alcotest.(check (list string))
+    "names the source" [ "lib/sim/edited.ml" ] (internal root "cmt-stale")
 
 let test_rule_selection () =
-  let src = "let eq (a : float) b = a = b\nlet r () = Random.int 5" in
-  let only = rules_hit ~rules:[ "nondet" ] ~path:"lib/sim/fix.ml" src in
+  with_ocamlc @@ fun () ->
+  let only =
+    lint ~rules:[ "nondet" ]
+      [ ("lib/sim/mixed.ml", "let eq (a : float) b = a = b\nlet r () = Random.int 5\n") ]
+  in
   check_bool "restricted to nondet" true
-    (List.for_all (String.equal "nondet") only && only <> [])
+    (List.for_all (fun f -> String.equal f.Finding.rule "nondet") only
+    && only <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Finding JSON round-trip *)
 
 let test_finding_json_roundtrip () =
+  with_ocamlc @@ fun () ->
   let findings =
-    Driver.lint_string ~has_mli:false ~path:"lib/sim/fix.ml"
-      "let eq (a : float) b = a = b\nlet r () = Random.bool ()\nlet x = nan"
+    lint
+      [
+        ( "lib/sim/several.ml",
+          "let eq (a : float) b = a = b\nlet r () = Random.bool ()\nlet x = nan\n" );
+      ]
   in
   check_bool "fixture produced findings" true (List.length findings >= 3);
   List.iter
@@ -205,25 +313,16 @@ let test_allow_unreadable () =
 (* ------------------------------------------------------------------ *)
 (* Driver determinism on a real (temporary) tree *)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 let make_fixture_root () =
-  let root = Filename.temp_file "faulty_search_lint" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  write_file
-    (Filename.concat root "lib/bad.ml")
-    "let eq (a : float) b = a = b\nlet t () = Sys.time ()\n";
-  write_file (Filename.concat root "lib/ok.ml") "let add a b = a + b\n";
-  write_file (Filename.concat root "lib/ok.mli") "val add : int -> int -> int\n";
-  root
+  Fixture.compiled_tree
+    [
+      ("lib/bad.ml", "let eq (a : float) b = a = b\nlet t () = Sys.time ()\n");
+      ("lib/ok.mli", "val add : int -> int -> int\n");
+      ("lib/ok.ml", "let add a b = a + b\n");
+    ]
 
 let test_driver_jobs_invariance () =
+  with_ocamlc @@ fun () ->
   let root = make_fixture_root () in
   let o1 = Driver.run ~jobs:1 ~root () in
   let o4 = Driver.run ~jobs:4 ~root () in
@@ -235,10 +334,12 @@ let test_driver_jobs_invariance () =
     (Driver.render_json o4)
 
 let test_driver_allowlist_filters () =
+  with_ocamlc @@ fun () ->
   let root = make_fixture_root () in
-  write_file
+  Fixture.write_file
     (Filename.concat root "lint.allow")
-    "poly-compare lib/bad.ml\nnondet lib/bad.ml\nmli-coverage lib/bad.ml\n";
+    "poly-compare lib/bad.ml\nnondet lib/bad.ml\nmli-coverage lib/bad.ml\n\
+     deep-nondet lib/bad.ml\n";
   match Driver.load_allow ~root with
   | Error e -> Alcotest.failf "load_allow: %s" e
   | Ok allow ->
@@ -264,7 +365,8 @@ let () =
             test_closed_variant_wildcard;
           Alcotest.test_case "global-mutable-state" `Quick
             test_global_mutable_state;
-          Alcotest.test_case "parse errors" `Quick test_parse_error_is_a_finding;
+          Alcotest.test_case "missing artefact" `Quick test_cmt_missing;
+          Alcotest.test_case "stale artefact" `Quick test_cmt_stale;
           Alcotest.test_case "rule selection" `Quick test_rule_selection;
         ] );
       ( "finding",

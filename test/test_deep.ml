@@ -1,7 +1,7 @@
 (* Tests for the typed, interprocedural analysis family: fixture trees
    compiled with ocamlc -bin-annot (so the cmt artefacts look exactly
    like dune's, with repo-relative source paths), driven through
-   [Deep.collect] and [Driver.run ~deep:true].
+   [Driver.run].
 
    Covers the three advertised detectors — transitive nondeterminism
    taint with its source→sink chain, an unguarded shared ref captured
@@ -13,54 +13,24 @@ module Finding = Search_analysis.Finding
 module Allow = Search_analysis.Allow
 module Driver = Search_analysis.Driver
 module Callgraph = Search_analysis.Callgraph
-module Deep = Search_analysis.Deep
-module Pool = Search_exec.Pool
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+let make_tree = Fixture.make_tree
+let compile = Fixture.compile
+let with_ocamlc = Fixture.with_ocamlc
+let by_rule = Fixture.by_rule
+let contains = Fixture.contains
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let make_tree files =
-  let root = Filename.temp_file "faulty_search_deep" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  List.iter
-    (fun (name, contents) -> write_file (Filename.concat root name) contents)
-    files;
-  root
-
-(* Compile fixtures from the tree root so cmt_sourcefile comes out
-   repo-relative ("lib/a.ml"), the way dune records it. *)
-let compile root files =
-  Sys.command
-    (Printf.sprintf "cd %s && ocamlc -bin-annot -c -I lib %s >/dev/null 2>&1"
-       (Filename.quote root)
-       (String.concat " " files))
-  = 0
-
-let have_ocamlc =
-  lazy (Sys.command "ocamlc -version >/dev/null 2>&1" = 0)
-
-(* The toolchain container always has ocamlc; degrade to a vacuous pass
-   elsewhere rather than failing the suite over infrastructure. *)
-let with_ocamlc k = if Lazy.force have_ocamlc then k () else ()
-
-let collect ?(audited = fun _ -> false) root =
-  let findings, units, _budget_stale =
-    Pool.with_pool ~jobs:1 @@ fun pool ->
-    Deep.collect ~pool ~deep:true ~hotpath:false ~escape:false ~audited
-      ~budget:Search_analysis.Budget.empty ~dirs:[ "lib" ] ~root
-  in
+let collect root =
+  let findings, units, _budget_stale = Fixture.collect root in
   (findings, units)
 
-let by_rule rule findings =
-  List.filter (fun f -> String.equal f.Finding.rule rule) findings
+let parse_allow text =
+  match Allow.parse text with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "parse: %s" e
 
 let taint_tree () =
   make_tree
@@ -93,15 +63,7 @@ let test_taint_chain () =
   | None -> Alcotest.fail "no finding at the w2 call site (lib/a.ml:3)"
   | Some f ->
       check_bool "full source->sink chain" true
-        (let contains s sub =
-           let n = String.length sub in
-           let rec go i =
-             i + n <= String.length s
-             && (String.equal (String.sub s i n) sub || go (i + 1))
-           in
-           go 0
-         in
-         contains f.Finding.message "A.w2 -> A.w1 -> A.noise -> Random.int")
+        (contains f.Finding.message "A.w2 -> A.w1 -> A.noise -> Random.int")
 
 let test_taint_barrier () =
   with_ocamlc @@ fun () ->
@@ -112,13 +74,14 @@ let test_taint_barrier () =
      between its own defs) but still reports the defs that touch a
      source directly, so the allow entry suppressing them registers as
      used rather than stale *)
-  let findings, _ =
-    collect ~audited:(fun file -> String.equal file "lib/a.ml") root
+  let allow = parse_allow "deep-nondet lib/a.ml\n" in
+  let o =
+    Driver.run ~jobs:1 ~rules:[ "deep-nondet" ] ~allow ~dirs:[ "lib" ] ~root ()
   in
-  let taint = by_rule "deep-nondet" findings in
-  check_int "only the direct source toucher" 1 (List.length taint);
-  check_string "and it is in the audited file" "lib/a.ml"
-    (List.hd taint).Finding.file
+  check_int "nothing reported past the barrier" 0 (List.length o.Driver.findings);
+  check_int "only the direct source toucher" 1 o.Driver.suppressed;
+  check_bool "and it is in the audited file (entry used, not stale)" true
+    (o.Driver.stale = [])
 
 let test_race () =
   with_ocamlc @@ fun () ->
@@ -145,15 +108,7 @@ let test_race () =
   check_string "at the mutation site" "lib/b.ml" f.Finding.file;
   check_int "line of leak := ..." 5 f.Finding.line;
   check_bool "names the cell and the job chain" true
-    (let contains s sub =
-       let n = String.length sub in
-       let rec go i =
-         i + n <= String.length s
-         && (String.equal (String.sub s i n) sub || go (i + 1))
-       in
-       go 0
-     in
-     contains f.Finding.message "B.leak"
+    (contains f.Finding.message "B.leak"
      && contains f.Finding.message "B.bad{B.submit}")
 
 (* Two pooled roots reach the racy writer [c]: one through two wrappers,
@@ -180,15 +135,7 @@ let test_race_shortest_chain () =
   | [ f ] ->
       check_int "at the write in c" 3 f.Finding.line;
       check_bool "shortest job chain" true
-        (let contains s sub =
-           let n = String.length sub in
-           let rec go i =
-             i + n <= String.length s
-             && (String.equal (String.sub s i n) sub || go (i + 1))
-           in
-           go 0
-         in
-         contains f.Finding.message "(job chain: Z.z_root{Z.submit} -> Z.c)")
+        (contains f.Finding.message "(job chain: Z.z_root{Z.submit} -> Z.c)")
   | fs -> Alcotest.failf "expected one deep-race finding, got %d" (List.length fs)
 
 let test_lock_order () =
@@ -211,23 +158,15 @@ let test_lock_order () =
   check_string "witnessed in c.ml" "lib/c.ml" f.Finding.file;
   check_int "at the inner protect of f1" 3 f.Finding.line;
   check_bool "names both mutexes" true
-    (let contains s sub =
-       let n = String.length sub in
-       let rec go i =
-         i + n <= String.length s
-         && (String.equal (String.sub s i n) sub || go (i + 1))
-       in
-       go 0
-     in
-     contains f.Finding.message "C.ma" && contains f.Finding.message "C.mb")
+    (contains f.Finding.message "C.ma" && contains f.Finding.message "C.mb")
 
 let test_deep_jobs_invariance () =
   with_ocamlc @@ fun () ->
   let root = taint_tree () in
   check_bool "fixtures compile" true
     (compile root [ "lib/a.ml"; "lib/uses.ml" ]);
-  let o1 = Driver.run ~jobs:1 ~deep:true ~root () in
-  let o4 = Driver.run ~jobs:4 ~deep:true ~root () in
+  let o1 = Driver.run ~jobs:1 ~root () in
+  let o4 = Driver.run ~jobs:4 ~root () in
   check_bool "deep pass ran" true (o1.Driver.units = 2);
   check_bool "found the planted taint" true
     (by_rule "deep-nondet" o1.Driver.findings <> []);
@@ -249,59 +188,85 @@ let test_entries_located () =
         [ ("a", "b", 1); ("d", "e", 4) ]
         (Allow.entries_located allow)
 
+let stale_fixture () =
+  Fixture.compiled_tree
+    [
+      ("lib/x.mli", "val t : unit -> float\n");
+      ("lib/x.ml", "let t () = Sys.time ()\n");
+    ]
+
 let test_stale_detection () =
-  let root =
-    make_tree
-      [
-        ("lib/x.ml", "let t () = Sys.time ()\n");
-        ("lib/x.mli", "val t : unit -> float\n");
-      ]
-  in
+  with_ocamlc @@ fun () ->
+  let root = stale_fixture () in
   let allow =
-    match
-      Allow.parse
-        "nondet lib/x.ml\nnondet lib/unused.ml\ndeep-race lib/unused.ml\n"
-    with
-    | Ok a -> a
-    | Error e -> Alcotest.failf "parse: %s" e
+    parse_allow
+      "nondet lib/x.ml\ndeep-nondet lib/x.ml\nnondet lib/unused.ml\n\
+       deep-race lib/unused.ml\n"
   in
-  let shallow = Driver.run ~jobs:1 ~allow ~root () in
-  check_int "no surviving findings" 0 (List.length shallow.Driver.findings);
-  (* the deep-race entry is out of scope without --deep; only the
-     unmatched syntactic entry is stale *)
+  let out = Driver.run ~jobs:1 ~allow ~root () in
+  check_int "no surviving findings" 0 (List.length out.Driver.findings);
   Alcotest.(check (list (triple string string int)))
-    "shallow stale set"
-    [ ("nondet", "lib/unused.ml", 2) ]
-    shallow.Driver.stale;
-  let deep = Driver.run ~jobs:1 ~deep:true ~allow ~root () in
+    "every family's unmatched entry is stale"
+    [ ("nondet", "lib/unused.ml", 3); ("deep-race", "lib/unused.ml", 4) ]
+    out.Driver.stale;
+  check_int "clean tree + stale, default" 0 (Driver.exit_code out);
+  check_int "clean tree + stale, strict" 1 (Driver.exit_code ~strict:true out)
+
+(* --rules scopes staleness to the rules that ran: an entry for a rule
+   outside the selection is neither matched nor stale. *)
+let test_stale_scoped_to_rules () =
+  with_ocamlc @@ fun () ->
+  let root = stale_fixture () in
+  let allow =
+    parse_allow
+      "nondet lib/x.ml\ndeep-nondet lib/x.ml\nnondet lib/unused.ml\n\
+       deep-race lib/unused.ml\n"
+  in
+  let only rules = Driver.run ~jobs:1 ~rules ~allow ~root () in
+  let compare_only = only [ "poly-compare" ] in
+  check_bool "no stale entries outside the selection" true
+    (compare_only.Driver.stale = []);
+  check_int "strict passes" 0 (Driver.exit_code ~strict:true compare_only);
+  (* typed families are selectable too *)
+  let race_only = only [ "deep-race" ] in
   Alcotest.(check (list (triple string string int)))
-    "deep brings deep rules into scope"
-    [ ("nondet", "lib/unused.ml", 2); ("deep-race", "lib/unused.ml", 3) ]
-    deep.Driver.stale;
-  check_int "clean tree + stale, default" 0 (Driver.exit_code shallow);
-  check_int "clean tree + stale, strict" 1
-    (Driver.exit_code ~strict:true shallow)
+    "only the selected rule's entries"
+    [ ("deep-race", "lib/unused.ml", 4) ]
+    race_only.Driver.stale;
+  check_bool "an unknown id is rejected" true
+    (match only [ "no-such-rule" ] with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let test_exit_codes () =
-  let parse_root = make_tree [ ("lib/broken.ml", "let = (\n") ] in
-  let parse_out = Driver.run ~jobs:1 ~root:parse_root () in
-  check_int "syntax error is internal" 3 (Driver.exit_code parse_out);
+  with_ocamlc @@ fun () ->
+  (* a source that does not compile has no artefact: internal *)
+  let broken_root = make_tree [ ("lib/broken.ml", "let = (\n") ] in
+  check_bool "broken source does not compile" false
+    (compile broken_root [ "lib/broken.ml" ]);
+  let broken_out = Driver.run ~jobs:1 ~root:broken_root () in
+  check_bool "cmt-missing finding surfaced" true
+    (by_rule "cmt-missing" broken_out.Driver.findings <> []);
+  check_int "uncompiled source is internal" 3 (Driver.exit_code broken_out);
   (* a corrupt cmt artefact is likewise internal, not a lint verdict *)
   let cmt_root = make_tree [ ("lib/garbage.cmt", "not a cmt\n") ] in
-  let cmt_out = Driver.run ~jobs:1 ~deep:true ~root:cmt_root () in
+  let cmt_out = Driver.run ~jobs:1 ~root:cmt_root () in
   check_bool "cmt-load finding surfaced" true
     (by_rule "cmt-load" cmt_out.Driver.findings <> []);
   check_int "corrupt artefact is internal" 3 (Driver.exit_code cmt_out);
   let clean_root =
-    make_tree
+    Fixture.compiled_tree
       [
-        ("lib/y.ml", "let add a b = a + b\n");
         ("lib/y.mli", "val add : int -> int -> int\n");
+        ("lib/y.ml", "let add a b = a + b\n");
       ]
   in
   let clean = Driver.run ~jobs:1 ~root:clean_root () in
   check_int "clean is zero" 0 (Driver.exit_code ~strict:true clean);
-  let finding_out = Driver.run ~jobs:1 ~root:(taint_tree ()) () in
+  let taint_root = taint_tree () in
+  check_bool "fixtures compile" true
+    (compile taint_root [ "lib/a.ml"; "lib/uses.ml" ]);
+  let finding_out = Driver.run ~jobs:1 ~root:taint_root () in
   check_int "ordinary finding is one" 1 (Driver.exit_code finding_out)
 
 let test_github_render () =
@@ -320,14 +285,6 @@ let test_github_render () =
     }
   in
   let out = Driver.render_github o in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s
-      && (String.equal (String.sub s i n) sub || go (i + 1))
-    in
-    go 0
-  in
   check_bool "error annotation" true (contains out "::error file=lib/x.ml,line=");
   check_bool "percent escaped" true (contains out "50%25 bad");
   check_bool "newline escaped" true (contains out "%0Asecond line");
@@ -370,6 +327,8 @@ let () =
           Alcotest.test_case "allow entries located" `Quick
             test_entries_located;
           Alcotest.test_case "stale allowlist" `Quick test_stale_detection;
+          Alcotest.test_case "stale scoped to --rules" `Quick
+            test_stale_scoped_to_rules;
           Alcotest.test_case "exit-code contract" `Quick test_exit_codes;
           Alcotest.test_case "github annotations" `Quick test_github_render;
         ] );

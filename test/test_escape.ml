@@ -1,6 +1,6 @@
 (* Tests for the escape analysis family: fixture trees compiled with
-   ocamlc -bin-annot, driven through [Deep.collect] with [~escape:true]
-   and [Driver.run ~escape:true].
+   ocamlc -bin-annot, driven through [Driver.run] with the report
+   restricted to the escape rules.
 
    Covers the three advertised detectors — exception flow across public
    boundaries with shortest witness chains ([escape-exn], including the
@@ -8,83 +8,29 @@
    paths ([escape-leak], with the [@releases] audit and the
    [Fun.protect] + closer shape), and sim hygiene from the [lib/dst]
    seam ([escape-realio], with the [@real_io] barrier) — plus the rule
-   catalogue's exhaustiveness contract, release-on-raise regressions
-   for the tree's own with_-wrappers, and the registered
-   [analysis.escape_self_clean] fuzz invariant. *)
+   catalogue's exhaustiveness contract and release-on-raise regressions
+   for the tree's own with_-wrappers. *)
 
 module Finding = Search_analysis.Finding
-module Budget = Search_analysis.Budget
 module Driver = Search_analysis.Driver
-module Deep = Search_analysis.Deep
 module Escape = Search_analysis.Escape
 module Catalogue = Search_analysis.Catalogue
 module Rules = Search_analysis.Rules
 module Pool = Search_exec.Pool
 module Lockfile = Search_resilience.Lockfile
 module Client = Search_serve.Client
-module Invariant = Search_check.Invariant
-module Case = Search_check.Case
 module E = Search_numerics.Search_error
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-(* Unlike the hotpath fixture helper this one creates nested
-   directories, so a [lib/dst/] seam fixture is expressible. *)
-let make_tree files =
-  let root = Filename.temp_file "faulty_search_escape" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  List.iter
-    (fun (name, contents) ->
-      let path = Filename.concat root name in
-      mkdir_p (Filename.dirname path);
-      write_file path contents)
-    files;
-  root
-
-(* Compile fixtures from the tree root so cmt_sourcefile comes out
-   repo-relative ("lib/a.ml"), the way dune records it.  [.mli] files
-   listed before their [.ml] compile to the [.cmti] the export pass
-   reads. *)
-let compile root files =
-  Sys.command
-    (Printf.sprintf "cd %s && ocamlc -bin-annot -c -I lib %s >/dev/null 2>&1"
-       (Filename.quote root)
-       (String.concat " " files))
-  = 0
-
-let have_ocamlc = lazy (Sys.command "ocamlc -version >/dev/null 2>&1" = 0)
-let with_ocamlc k = if Lazy.force have_ocamlc then k () else ()
-
-let collect root =
-  Pool.with_pool ~jobs:1 @@ fun pool ->
-  Deep.collect ~pool ~deep:false ~hotpath:false ~escape:true
-    ~audited:(fun _ -> false)
-    ~budget:Budget.empty ~dirs:[ "lib" ] ~root
-
-let by_rule rule findings =
-  List.filter (fun f -> String.equal f.Finding.rule rule) findings
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s
-    && (String.equal (String.sub s i n) sub || go (i + 1))
-  in
-  go 0
+let make_tree = Fixture.make_tree
+let compile = Fixture.compile
+let with_ocamlc = Fixture.with_ocamlc
+let by_rule = Fixture.by_rule
+let contains = Fixture.contains
+let collect root = Fixture.collect ~rules:Escape.rule_ids root
 
 (* A stub Unix module: the realio rule matches display names, so a
    local lib/unix.ml exercises it without linking the real library. *)
@@ -298,7 +244,9 @@ let test_driver_exit_and_jobs_invariance () =
   in
   check_bool "fixtures compile" true
     (compile root (realio_files @ [ "lib/a.ml"; "lib/l.ml" ]));
-  let run jobs = Driver.run ~jobs ~rules:[] ~escape:true ~dirs:[ "lib" ] ~root () in
+  let run jobs =
+    Driver.run ~jobs ~rules:Escape.rule_ids ~dirs:[ "lib" ] ~root ()
+  in
   let out = run 1 in
   check_bool "all three rules fire" true
     (List.for_all
@@ -317,7 +265,7 @@ let emitted_ids =
   @ [ "deep-nondet"; "deep-race"; "deep-lock-order" ]
   @ [ "hotpath-alloc"; "hotpath-blocking" ]
   @ Escape.rule_ids
-  @ [ "parse"; "cmt-load" ]
+  @ [ "cmt-load"; "cmt-missing"; "cmt-stale" ]
 
 let test_catalogue_exhaustive () =
   List.iter
@@ -334,18 +282,12 @@ let test_catalogue_exhaustive () =
 let test_catalogue_families () =
   check_bool "escape ids under the Escape family" true
     (Catalogue.ids_of Catalogue.Escape = Escape.rule_ids);
-  List.iter
-    (fun id ->
-      match Catalogue.find id with
-      | Some e ->
-          check_bool (id ^ " gated by --escape") true
-            (Catalogue.family_flag e.Catalogue.family = Some "--escape")
-      | None -> Alcotest.failf "%s not catalogued" id)
-    Escape.rule_ids;
-  check_bool "syntactic rules are ungated" true
-    (Catalogue.family_flag Catalogue.Syntactic = None);
-  check_bool "internal pseudo-rules are ungated" true
-    (Catalogue.family_flag Catalogue.Internal = None)
+  check_bool "per-file rules under the Syntactic family" true
+    (Catalogue.ids_of Catalogue.Syntactic
+    = List.map (fun (r : Rules.rule) -> r.Rules.id) Rules.all);
+  check_bool "artefact failures are internal" true
+    (Catalogue.ids_of Catalogue.Internal
+    = [ "cmt-load"; "cmt-missing"; "cmt-stale" ])
 
 (* ------------------------------------------------------------------ *)
 (* release-on-raise regressions for the tree's own wrappers            *)
@@ -410,46 +352,6 @@ let test_with_pool_teardown_on_raise () =
       | _ -> Alcotest.fail "pool survived the raising path")
 
 (* ------------------------------------------------------------------ *)
-(* the registered fuzz invariant                                       *)
-
-let sample_case =
-  {
-    Case.id = 0;
-    m = 4;
-    k = 3;
-    f = 1;
-    horizon = 40.;
-    alpha_scale = 1.;
-    lambda_frac = 0.5;
-    targets = [ (0, 3.) ];
-    turn_seed = 7;
-  }
-
-let test_escape_invariant_registered () =
-  Invariant.register_escape_invariant ();
-  check_bool "listed after the built-in catalogue" true
-    (List.mem "analysis.escape_self_clean" (Invariant.names ()));
-  check_bool "sample case valid" true (Case.valid sample_case);
-  let violations =
-    List.filter
-      (fun v ->
-        String.equal v.Invariant.invariant "analysis.escape_self_clean")
-      (Invariant.check_case sample_case)
-  in
-  List.iter
-    (fun v -> Printf.eprintf "escape_self_clean: %s\n" v.Invariant.detail)
-    violations;
-  check_int "own tree escape-lints clean (or vacuously so)" 0
-    (List.length violations);
-  (* registration is idempotent: re-registering does not duplicate *)
-  Invariant.register_escape_invariant ();
-  check_int "registered once" 1
-    (List.length
-       (List.filter
-          (String.equal "analysis.escape_self_clean")
-          (Invariant.names ())))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "escape"
@@ -489,7 +391,7 @@ let () =
         [
           Alcotest.test_case "every emitted rule catalogued" `Quick
             test_catalogue_exhaustive;
-          Alcotest.test_case "families and flags" `Quick
+          Alcotest.test_case "families" `Quick
             test_catalogue_families;
         ] );
       ( "wrappers",
@@ -500,10 +402,5 @@ let () =
             test_with_lock_releases_on_raise;
           Alcotest.test_case "with_pool tears down on raise" `Quick
             test_with_pool_teardown_on_raise;
-        ] );
-      ( "invariant",
-        [
-          Alcotest.test_case "escape_self_clean registered" `Quick
-            test_escape_invariant_registered;
         ] );
     ]

@@ -216,7 +216,8 @@ let test_parallel_reduce_float_order () =
   let got = Par.parallel_reduce pool ~map:Fun.id ~combine:( +. ) ~init:0. xs in
   check_bool
     (Printf.sprintf "bit-identical float sum at jobs=%d" jobs)
-    true (got = expected)
+    true
+    (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float expected))
 
 let test_parallel_map_array () =
   at_each_size "array" @@ fun ~jobs pool ->

@@ -1,6 +1,6 @@
 (* Tests for the hot-path performance analysis family: fixture trees
-   compiled with ocamlc -bin-annot, driven through [Deep.collect] with
-   [~hotpath:true] and [Driver.run ~hotpath:true].
+   compiled with ocamlc -bin-annot, driven through [Driver.run] with
+   the report restricted to the two hot-path rules.
 
    Covers the two advertised detectors — interprocedural allocation
    budgets for [@hot] roots with their witness chains, and blocking-call
@@ -12,56 +12,17 @@
 module Finding = Search_analysis.Finding
 module Budget = Search_analysis.Budget
 module Driver = Search_analysis.Driver
-module Deep = Search_analysis.Deep
-module Pool = Search_exec.Pool
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let make_tree files =
-  let root = Filename.temp_file "faulty_search_hotpath" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  List.iter
-    (fun (name, contents) -> write_file (Filename.concat root name) contents)
-    files;
-  root
-
-(* Compile fixtures from the tree root so cmt_sourcefile comes out
-   repo-relative ("lib/a.ml"), the way dune records it. *)
-let compile root files =
-  Sys.command
-    (Printf.sprintf "cd %s && ocamlc -bin-annot -c -I lib %s >/dev/null 2>&1"
-       (Filename.quote root)
-       (String.concat " " files))
-  = 0
-
-let have_ocamlc = lazy (Sys.command "ocamlc -version >/dev/null 2>&1" = 0)
-let with_ocamlc k = if Lazy.force have_ocamlc then k () else ()
-
-let collect ?(budget = Budget.empty) root =
-  Pool.with_pool ~jobs:1 @@ fun pool ->
-  Deep.collect ~pool ~deep:false ~hotpath:true ~escape:false
-    ~audited:(fun _ -> false)
-    ~budget ~dirs:[ "lib" ] ~root
-
-let by_rule rule findings =
-  List.filter (fun f -> String.equal f.Finding.rule rule) findings
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s
-    && (String.equal (String.sub s i n) sub || go (i + 1))
-  in
-  go 0
+let make_tree = Fixture.make_tree
+let compile = Fixture.compile
+let with_ocamlc = Fixture.with_ocamlc
+let by_rule = Fixture.by_rule
+let contains = Fixture.contains
+let hotpath_rules = [ "hotpath-alloc"; "hotpath-blocking" ]
+let collect ?budget root = Fixture.collect ~rules:hotpath_rules ?budget root
 
 let budget_of_string s =
   match Budget.parse s with
@@ -188,10 +149,10 @@ let test_stale_budget () =
       check_int "stale line" 2 line
   | _ -> Alcotest.fail "expected exactly the Gone.kernel entry stale");
   (* the driver surfaces it and --strict fails on it *)
-  (* syntactic rules off: the fixture has no .mli and is not the code
-     under test here *)
+  (* the report restricted to the hot-path rules: the fixture has no
+     .mli and is not the code under test here *)
   let outcome =
-    Driver.run ~jobs:1 ~rules:[] ~hotpath:true ~budget ~dirs:[ "lib" ] ~root ()
+    Driver.run ~jobs:1 ~rules:hotpath_rules ~budget ~dirs:[ "lib" ] ~root ()
   in
   check_bool "driver reports it" true
     (outcome.Driver.budget_stale = [ ("Gone.kernel", 2) ]);
@@ -241,7 +202,7 @@ let test_hotpath_jobs_invariance () =
     (compile root [ "lib/unix.ml"; "lib/loop.ml"; "lib/k.ml" ]);
   let render jobs =
     Driver.render_json
-      (Driver.run ~jobs ~hotpath:true ~dirs:[ "lib" ] ~root ())
+      (Driver.run ~jobs ~dirs:[ "lib" ] ~root ())
   in
   check_string "jobs 1 = jobs 4 bytes" (render 1) (render 4)
 

@@ -533,27 +533,37 @@ let test_lockfile_mutual_exclusion () =
   check_bool "critical sections never overlapped" false !overlap;
   check_bool "lock released at the end" false (Sys.file_exists path)
 
+(* Stale locks are forged against a virtual clock: the stamps are
+   virtual instants, and a contention sleep advances virtual time only,
+   so a lock that is wrongly waited out gives up instead of hanging. *)
 let test_lockfile_breaks_stale_lock () =
   let dir = temp_dir "stale" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "x.lock" in
+  let vnow = ref 10_000.0 in
+  let clock =
+    {
+      Search_resilience.Clock.now = (fun () -> !vnow);
+      sleep = (fun d -> vnow := !vnow +. d);
+    }
+  in
   (* a lock held by a dead process: PID well beyond pid_max is never
-     alive; creation time is recent, so only the dead-pid rule fires *)
+     alive; creation time is now, so only the dead-pid rule fires *)
   let oc = open_out path in
-  Printf.fprintf oc "%d %.3f\n" 999_999_999 (Unix.gettimeofday ());
+  Printf.fprintf oc "%d %.3f\n" 999_999_999 !vnow;
   close_out oc;
   let ran = ref false in
-  Lockfile.with_lock ~path ~give_up_after:2. (fun () -> ran := true);
+  Lockfile.with_lock ~clock ~path ~give_up_after:2. (fun () -> ran := true);
   check_bool "stale lock was broken, not waited out" true !ran;
   (* an unreadable (legacy/torn) lock file falls back to its mtime; an
      old one is broken too *)
   let oc = open_out path in
   output_string oc "not a pid stamp";
   close_out oc;
-  let old = Unix.gettimeofday () -. 3600. in
+  let old = !vnow -. 3600. in
   Unix.utimes path old old;
   let ran2 = ref false in
-  Lockfile.with_lock ~path ~stale_after:60. ~give_up_after:2. (fun () ->
+  Lockfile.with_lock ~clock ~path ~stale_after:60. ~give_up_after:2. (fun () ->
       ran2 := true);
   check_bool "ancient unreadable lock broken" true !ran2
 

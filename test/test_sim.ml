@@ -325,7 +325,7 @@ let test_engine_worst_exhaustive_assignments () =
           neg_infinity assignments
       in
       check_bool "worst = max over all fixed assignments (exact)" true
-        (worst = fixed_max))
+        (Float.equal worst fixed_max))
     [ 1.1; 3.3; 17.0; 490. ]
 
 let test_engine_worst_exhaustive_tie () =
@@ -925,7 +925,7 @@ let prop_first_visit_is_min_of_visits =
           Tr.visits tr ~target ~horizon:300. )
       with
       | None, [] -> true
-      | Some t, x :: _ -> t = x
+      | Some t, x :: _ -> Float.equal t x
       | _ -> false)
 
 let prop_detection_monotone_in_f =
