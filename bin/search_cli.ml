@@ -804,7 +804,7 @@ let strict_arg =
 let lint_run root format rules strict jobs =
   if not (check_jobs jobs) then exit_usage
   else
-    let module A = FS.Analysis in
+    let module A = Search_analysis in
     match rules with
     | Some "list" ->
         List.iter

@@ -24,7 +24,9 @@ let regime t =
 
 let pp ppf t = Format.fprintf ppf "(m=%d, k=%d, f=%d)" t.m t.k t.f
 
-let pp_regime ppf = function
-  | Unsolvable -> Format.pp_print_string ppf "unsolvable"
-  | Ratio_one -> Format.pp_print_string ppf "ratio-one"
-  | Searching -> Format.pp_print_string ppf "searching"
+let regime_to_string = function
+  | Unsolvable -> "unsolvable"
+  | Ratio_one -> "ratio-one"
+  | Searching -> "searching"
+
+let pp_regime ppf r = Format.pp_print_string ppf (regime_to_string r)

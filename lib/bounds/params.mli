@@ -40,5 +40,9 @@ type regime =
 
 val regime : t -> regime
 
+val regime_to_string : regime -> string
+(** ["unsolvable"], ["ratio-one"] or ["searching"]: the spelling both
+    {!pp_regime} and the serve protocol use. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_regime : Format.formatter -> regime -> unit

@@ -689,51 +689,6 @@ let inv_chaos_supervisor ctx =
   else []
 
 (* ------------------------------------------------------------------ *)
-(* analysis.self_clean                                                 *)
-
-(* The lint verdict is a property of the source tree and its typed
-   artefacts, not of the case, so it is computed once per process (the
-   findings are deterministic, so every case reports the same list).
-   It is the full lint [dune build @lint] runs.  When the sources are not
-   reachable from the working directory — an installed binary, a
-   sandboxed runner — the invariant is vacuously satisfied. *)
-let lint_repo_root () =
-  let looks_like_root dir =
-    Sys.file_exists (Filename.concat dir "dune-project")
-    && Sys.file_exists (Filename.concat dir "lint.allow")
-    && Sys.file_exists (Filename.concat dir "lib")
-  in
-  let rec up dir depth =
-    if depth > 8 then None
-    else if looks_like_root dir then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if String.equal parent dir then None else up parent (depth + 1)
-  in
-  up (Sys.getcwd ()) 0
-
-let lint_violations =
-  lazy
-    (match lint_repo_root () with
-    | None -> []
-    | Some root -> (
-        let module D = Search_analysis.Driver in
-        match (D.load_allow ~root, D.load_budget ~root) with
-        | Error msg, _ | _, Error msg -> failf "lint config unreadable: %s" msg
-        | Ok allow, Ok budget ->
-            let out = D.run ~jobs:1 ~allow ~budget ~root () in
-            List.map
-              (Format.asprintf "%a" Search_analysis.Finding.pp)
-              out.Search_analysis.Driver.findings))
-
-(* [Lazy.force] from concurrently checking domains can raise [RacyLazy];
-   serialize the one-time computation. *)
-let lint_force_mutex = Mutex.create ()
-
-let inv_analysis _ctx =
-  Mutex.protect lint_force_mutex (fun () -> Lazy.force lint_violations)
-
-(* ------------------------------------------------------------------ *)
 
 let catalogue : (string * (ctx -> string list)) list =
   [
@@ -751,7 +706,6 @@ let catalogue : (string * (ctx -> string list)) list =
     ("exec.jobs_invariance", inv_exec);
     ("chaos.determinism", inv_chaos_determinism);
     ("chaos.supervisor_recovers", inv_chaos_supervisor);
-    ("analysis.self_clean", inv_analysis);
   ]
 
 (* Extension registry: layers above [search_check] in the dependency

@@ -24,6 +24,9 @@
       with [2 f] tolerated faults, and never confirms a false place.
     - [sim.ratio_within_design] — the adversary's empirical ratio over
       the window stays within the strategy's designed ratio (and >= 1).
+    - [kernel.compiled_eq_reference] — the compiled adversary scan and
+      the compiled cover-interval kernels agree bit for bit with their
+      reference loops.
     - [strategy.coverage_theorem] — the exponential strategy's integer
       residue count certifies (f+1)-fold coverage; its predicted ratio
       matches the closed-form appendix formula and dominates [lambda0].
@@ -42,14 +45,15 @@
       pointwise detection-ratio extremes of the support.
     - [exec.jobs_invariance] — a sharded stochastic map over the case is
       bit-identical at pool sizes 1 and 3.
-    - [analysis.self_clean] — the full {!Search_analysis} lint (the
-      one [dune build @lint] runs) over the repository's own sources and
-      their typed artefacts reports no findings beyond the checked-in
-      [lint.allow] and [lint.budget] entries; a missing or stale
-      artefact is a violation, so build with [dune build @check] first.
-      Evaluated once per process (the verdict is case-independent);
-      vacuously satisfied when the source tree is not reachable from
-      the working directory. *)
+    - [chaos.determinism] — the chaos plan is a pure function of
+      (seed, task key); attempts below its fault count fault, the next
+      one runs.
+    - [chaos.supervisor_recovers] — {!Search_exec.Supervise.map} under
+      chaos with enough retries reproduces the fault-free results at
+      pool sizes 1 and 3.
+
+    Every invariant depends only on the case: no file, working
+    directory or build state enters a verdict. *)
 
 type violation = { invariant : string; detail : string }
 

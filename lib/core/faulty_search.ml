@@ -80,12 +80,6 @@ module Check = Search_check
 (** Submodules: [Check.Case], [Check.Gen], [Check.Invariant],
     [Check.Shrink], [Check.Corpus], [Check.Fuzz]. *)
 
-(** {1 Static analysis (determinism & numeric-safety lint)} *)
-
-module Analysis = Search_analysis
-(** Submodules: [Analysis.Finding], [Analysis.Allow], [Analysis.Source],
-    [Analysis.Rules], [Analysis.Driver]. *)
-
 (** {1 Parallel execution (domain pool, deterministic sharding)} *)
 
 module Pool = Search_exec.Pool

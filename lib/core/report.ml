@@ -60,7 +60,7 @@ let to_markdown t =
   let { Params.m; k; f } = t.problem.Problem.params in
   p "# Instance report: m = %d rays, k = %d robots, f = %d crash faults" m k f;
   p "";
-  p "- regime: **%s**" (Format.asprintf "%a" Params.pp_regime t.regime);
+  p "- regime: **%s**" (Params.regime_to_string t.regime);
   p "- evaluation horizon: targets in [1, %g]" t.problem.Problem.horizon;
   p "";
   p "## Competitive ratio";

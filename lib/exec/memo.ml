@@ -104,8 +104,6 @@ let find_or_add t key compute =
               evict_excess_locked t;
               v)
 
-let memoize t f key = find_or_add t key (fun () -> f key)
-
 let stats t =
   Mutex.protect t.mutex (fun () ->
       {

@@ -22,9 +22,6 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     hit refreshes the key's recency; an insert over capacity evicts
     the least-recently-used entry. *)
 
-val memoize : ('k, 'v) t -> ('k -> 'v) -> 'k -> 'v
-(** [memoize cache f] is [f] backed by [cache]. *)
-
 type stats = {
   hits : int;
   misses : int;

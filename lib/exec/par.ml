@@ -24,11 +24,3 @@ let[@pool_entry] parallel_map ?(chunk = 1) pool ~f xs =
 let[@pool_entry] parallel_mapi pool ~f xs =
   List.mapi (fun i x -> (i, x)) xs
   |> map_plain pool ~f:(fun (i, x) -> f i x)
-
-let[@pool_entry] parallel_iter pool ~f xs = ignore (map_plain pool ~f xs : unit list)
-
-let[@pool_entry] parallel_reduce pool ~map ~combine ~init xs =
-  List.fold_left combine init (map_plain pool ~f:map xs)
-
-let[@pool_entry] parallel_map_array pool ~f xs =
-  Array.of_list (map_plain pool ~f (Array.to_list xs))

@@ -14,16 +14,3 @@ val parallel_map : ?chunk:int -> Pool.t -> f:('a -> 'b) -> 'a list -> 'b list
 
 val parallel_mapi : Pool.t -> f:(int -> 'a -> 'b) -> 'a list -> 'b list
 (** Same with the 0-based input position. *)
-
-val parallel_iter : Pool.t -> f:('a -> unit) -> 'a list -> unit
-(** Runs [f] on every item (no result ordering to speak of, but all
-    tasks are awaited — and exceptions re-raised — before returning). *)
-
-val parallel_reduce :
-  Pool.t -> map:('a -> 'b) -> combine:('c -> 'b -> 'c) -> init:'c
-  -> 'a list -> 'c
-(** [map] runs in parallel; [combine] folds the results sequentially in
-    input order.  Safe for non-associative combines (float addition). *)
-
-val parallel_map_array : Pool.t -> f:('a -> 'b) -> 'a array -> 'b array
-(** Array variant of {!parallel_map}. *)

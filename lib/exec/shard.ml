@@ -12,34 +12,4 @@ let[@pool_entry] sharded_map pool ~root ~f xs =
   let gs = prngs ~root ~n:(List.length xs) in
   Par.parallel_mapi pool ~f:(fun i x -> f ~prng:gs.(i) x) xs
 
-let shards ~shards:count xs =
-  if count < 1 then invalid_arg "Shard.shards: need shards >= 1";
-  let n = List.length xs in
-  let used = min count n in
-  if used = 0 then []
-  else begin
-    let base = n / used and extra = n mod used in
-    (* chunk i gets base + 1 items if i < extra, else base *)
-    let rec cut i remaining =
-      if Int.equal i used then []
-      else
-        let len = base + if i < extra then 1 else 0 in
-        let rec take n acc rest =
-          if n = 0 then (List.rev acc, rest)
-          else
-            match rest with
-            | [] -> (List.rev acc, [])
-            | x :: tl -> take (n - 1) (x :: acc) tl
-        in
-        let chunk, rest = take len [] remaining in
-        chunk :: cut (i + 1) rest
-    in
-    cut 0 xs
-  end
-
-let sharded_chunks ~root ~shards:count xs =
-  let chunks = shards ~shards:count xs in
-  let gs = prngs ~root ~n:(List.length chunks) in
-  List.mapi (fun i c -> (c, gs.(i))) chunks
-
 let grid2 xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs

@@ -19,20 +19,6 @@ val sharded_map :
 (** Order-preserving parallel map where item [i] receives [leaf i].
     Bit-identical results at every pool size (for pure [f]). *)
 
-val shards : shards:int -> 'a list -> 'a list list
-(** Split into [shards] contiguous chunks whose lengths differ by at
-    most one (leading chunks get the extra items).  Fewer chunks are
-    returned when the list is shorter than [shards]; never an empty
-    chunk.  Requires [shards >= 1]. *)
-
-val sharded_chunks :
-  root:Search_numerics.Prng.t -> shards:int -> 'a list
-  -> ('a list * Search_numerics.Prng.t) list
-(** {!shards} with [leaf i] attached to chunk [i]: the coarse-grained
-    variant for trials that consume a stream per chunk rather than per
-    item.  Fix [shards] per experiment (not from the pool size) to keep
-    the output jobs-invariant. *)
-
 val grid2 : 'a list -> 'b list -> ('a * 'b) list
 (** Row-major cartesian product — the flattened (outer, inner) sweep
     grid, in the order the sequential nested loops would visit it. *)

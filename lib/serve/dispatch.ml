@@ -59,20 +59,13 @@ let stats t =
 (* per-request evaluation (runs on pool workers)                      *)
 (* ------------------------------------------------------------------ *)
 
-let regime_string = function
-  | FS.Params.Unsolvable -> "unsolvable"
-  | FS.Params.Ratio_one -> "ratio-one"
-  | FS.Params.Searching -> "searching"
-
 (* Params.make raises the taxonomy directly (Regime_violation), which
    is exactly what the protocol error path wants. *)
-let params_or_invalid ~where:_ ~m ~k ~f = FS.Params.make ~m ~k ~f
-
 let eval_bound t meter ~m ~k ~f =
   Budget.step meter;
   let payload =
     Memo.find_or_add t.cache (m, k, f) (fun () ->
-        let p = params_or_invalid ~where:"serve/bound" ~m ~k ~f in
+        let p = FS.Params.make ~m ~k ~f in
         let regime = FS.Params.regime p in
         let alpha_star =
           match regime with
@@ -81,12 +74,12 @@ let eval_bound t meter ~m ~k ~f =
           | FS.Params.Ratio_one | FS.Params.Unsolvable -> None
         in
         Protocol.bound_payload ~bound:(FS.Formulas.of_params p)
-          ~regime:(regime_string regime) ~alpha_star)
+          ~regime:(FS.Params.regime_to_string regime) ~alpha_star)
   in
   Protocol.Bound_ok payload
 
 let searching_or_violation ~where ~m ~k ~f =
-  let p = params_or_invalid ~where ~m ~k ~f in
+  let p = FS.Params.make ~m ~k ~f in
   match FS.Params.regime p with
   | FS.Params.Searching -> p
   | FS.Params.Ratio_one | FS.Params.Unsolvable ->
@@ -97,8 +90,10 @@ let searching_or_violation ~where ~m ~k ~f =
 let eval_certify meter ~m ~k ~f ~n ~lambda =
   if not (Float.is_finite n && n >= 1.) then
     E.invalid ~where:"serve/certify" "need a finite horizon n >= 1";
-  if not (Float.is_finite lambda && lambda > 0.) then
-    E.invalid ~where:"serve/certify" "need a finite lambda > 0";
+  (* the coverage kernels need lambda > 1; refuse the rest here, at the
+     boundary, as the CLI does *)
+  if not (Float.is_finite lambda && lambda > 1.) then
+    E.invalid ~where:"serve/certify" "need a finite lambda > 1";
   let p = searching_or_violation ~where:"serve/certify" ~m ~k ~f in
   let q = FS.Params.q p in
   Budget.step meter;

@@ -195,38 +195,14 @@ let test_parallel_map_t3 () =
     true
     (Par.parallel_map ~chunk:3 pool ~f t3_grid = expected)
 
-let test_parallel_mapi_and_iter () =
+let test_parallel_mapi () =
   at_each_size "mapi" @@ fun ~jobs pool ->
   let xs = [ "a"; "b"; "c"; "d" ] in
   check_bool
     (Printf.sprintf "mapi at jobs=%d" jobs)
     true
     (Par.parallel_mapi pool ~f:(fun i s -> (i, s)) xs
-    = List.mapi (fun i s -> (i, s)) xs);
-  let hits = Atomic.make 0 in
-  Par.parallel_iter pool ~f:(fun _ -> Atomic.incr hits) xs;
-  check_int "iter ran every item" 4 (Atomic.get hits)
-
-let test_parallel_reduce_float_order () =
-  (* non-associative float addition: the fold must happen in input
-     order, so the sum is bit-identical to the sequential fold *)
-  let xs = List.init 200 (fun i -> 1. /. float_of_int (i + 1)) in
-  let expected = List.fold_left ( +. ) 0. xs in
-  at_each_size "reduce" @@ fun ~jobs pool ->
-  let got = Par.parallel_reduce pool ~map:Fun.id ~combine:( +. ) ~init:0. xs in
-  check_bool
-    (Printf.sprintf "bit-identical float sum at jobs=%d" jobs)
-    true
-    (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float expected))
-
-let test_parallel_map_array () =
-  at_each_size "array" @@ fun ~jobs pool ->
-  let a = Array.init 30 (fun i -> i) in
-  check_bool
-    (Printf.sprintf "array map at jobs=%d" jobs)
-    true
-    (Par.parallel_map_array pool ~f:(fun x -> x * 2) a
-    = Array.map (fun x -> x * 2) a)
+    = List.mapi (fun i s -> (i, s)) xs)
 
 (* ------------------------------------------------------------------ *)
 (* Shard *)
@@ -247,16 +223,6 @@ let test_shard_prngs_independent_of_jobs () =
     Array.to_list leaves |> List.sort_uniq Float.compare |> List.length
   in
   check_int "leaves distinct" 6 distinct
-
-let test_shards_balanced () =
-  let xs = List.init 10 Fun.id in
-  let chunks = Shard.shards ~shards:3 xs in
-  check_int "three chunks" 3 (List.length chunks);
-  check_bool "concat restores input" true (List.concat chunks = xs);
-  let sizes = List.map List.length chunks in
-  check_bool "balanced" true (sizes = [ 4; 3; 3 ]);
-  check_int "never an empty chunk" 2
-    (List.length (Shard.shards ~shards:5 [ 1; 2 ]))
 
 let test_grid2_row_major () =
   check_bool "row-major order" true
@@ -404,7 +370,7 @@ let test_lru_evicts_lru_entry () =
 
 let test_lru_clear_resets () =
   let cache = Memo.create ~capacity:4 () in
-  let f = Memo.memoize cache (fun k -> k + 1) in
+  let f k = Memo.find_or_add cache k (fun () -> k + 1) in
   check_int "computes" 8 (f 7);
   check_int "hit" 8 (f 7);
   Memo.clear cache;
@@ -424,7 +390,7 @@ let test_lru_concurrent_consistent () =
      domain contention; values must stay correct throughout *)
   Pool.with_pool ~jobs:8 @@ fun pool ->
   let cache = Memo.create ~capacity:3 () in
-  let f = Memo.memoize cache (fun k -> k * k) in
+  let f k = Memo.find_or_add cache k (fun () -> k * k) in
   let keys = List.concat (List.init 30 (fun _ -> [ 1; 2; 3; 4; 5; 6 ])) in
   let got = Par.parallel_map pool ~f keys in
   List.iter2 (fun k v -> check_int "value" (k * k) v) keys got;
@@ -517,17 +483,12 @@ let () =
             test_parallel_map_t1;
           tc "parallel_map = List.map on the T3 grid" `Quick
             test_parallel_map_t3;
-          tc "mapi and iter" `Quick test_parallel_mapi_and_iter;
-          tc "reduce folds floats in input order" `Quick
-            test_parallel_reduce_float_order;
-          tc "array variant" `Quick test_parallel_map_array;
+          tc "mapi keeps input positions" `Quick test_parallel_mapi;
         ] );
       ( "shard",
         [
           tc "split-tree leaves are reproducible" `Quick
             test_shard_prngs_independent_of_jobs;
-          tc "chunks are balanced and order-preserving" `Quick
-            test_shards_balanced;
           tc "grid2 is row-major" `Quick test_grid2_row_major;
           tc "stochastic estimate identical at jobs 1 vs 8" `Quick
             test_sharded_stochastic_jobs_invariant;

@@ -338,6 +338,10 @@ let mixed_batch =
     (* ratio-one regime: Regime_violation *)
     P.Stats;
     P.Bound { m = 2; k = 3; f = 1 };  (* repeat: cache hit on batch 2 *)
+    (* lambda <= 1 is refused at the boundary, before any kernel runs *)
+    P.Certify { m = 2; k = 3; f = 1; n = 200.; lambda = 0.5 };
+    P.Certify { m = 2; k = 3; f = 1; n = 200.; lambda = 1.0 };
+    P.Certify { m = 3; k = 2; f = 0; n = 200.; lambda = 0.9 };
   ]
 
 let run_mixed ~jobs =
@@ -407,16 +411,39 @@ let test_dispatch_failure_shapes () =
   check_bool "ratio-one certify fails with regime-violation" true
     (match error_tag (find 6) with
     | Some t -> String.equal t "regime-violation"
-    | None -> false)
+    | None -> false);
+  let error_where rendered =
+    match Json.of_string rendered with
+    | Ok j -> (
+        match Option.bind (Json.member "error" j) (Json.member "where") with
+        | Some (Json.String w) -> Some w
+        | _ -> None)
+    | Error _ -> None
+  in
+  List.iter
+    (fun i ->
+      check_bool
+        (Printf.sprintf "certify %d: lambda <= 1 is invalid-input" i)
+        true
+        (match error_tag (find i) with
+        | Some t -> String.equal t "invalid-input"
+        | None -> false);
+      check_bool
+        (Printf.sprintf "certify %d: refused at serve/certify" i)
+        true
+        (match error_where (find i) with
+        | Some w -> String.equal w "serve/certify"
+        | None -> false))
+    [ 9; 10; 11 ]
 
 let test_dispatch_cache_accounting () =
   let _, _, stats = run_mixed ~jobs:2 in
   check_bool "cache hits observed" true (stats.P.cache.P.hits > 0);
   check_bool "misses bounded by distinct bound keys" true
     (stats.P.cache.P.misses >= 3);
-  check_int "served both batches" 18 stats.P.served;
+  check_int "served both batches" 24 stats.P.served;
   check_int "two batches" 2 stats.P.batches;
-  check_int "max batch" 9 stats.P.max_batch;
+  check_int "max batch" 12 stats.P.max_batch;
   check_bool "pool settled everything" true
     (stats.P.pool.P.pending = 0
     && stats.P.pool.P.submitted = stats.P.pool.P.settled)
