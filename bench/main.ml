@@ -53,7 +53,7 @@ let jobs, bench_spec =
       ( "--retries",
         Arg.Set_int retries,
         "R  retry each failed grid cell up to R times (attempts = R+1, \
-         zero backoff)" );
+         each retried at once)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     "main.exe [--jobs N]";

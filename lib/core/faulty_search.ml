@@ -92,7 +92,6 @@ module Metrics = Search_exec.Metrics
 
 module Search_error = Search_numerics.Search_error
 module Budget = Search_resilience.Budget
-module Cancel = Search_resilience.Cancel
 module Retry = Search_resilience.Retry
 module Chaos = Search_resilience.Chaos
 module Journal = Search_resilience.Journal

@@ -2,7 +2,6 @@ module E = Search_numerics.Search_error
 module Json = Search_numerics.Json
 module Prng = Search_numerics.Prng
 module Pool = Search_exec.Pool
-module Supervise = Search_exec.Supervise
 module P = Search_serve.Protocol
 module Server = Search_serve.Server
 module Client = Search_serve.Client
@@ -215,12 +214,7 @@ let run sc =
   let sim = Sim.create ~prng:sched_prng in
   let net = Net.create ~sim ~prng:net_prng ~faults:sc.faults in
   let runtime = wrap_inject sc.inject (Net.runtime net) in
-  let vclock () = Sim.now sim in
-  let dispatch =
-    Dispatch.create ~pool ~cache_capacity:sc.cache_cap
-      ~spec:{ Supervise.default with clock = vclock }
-      ()
-  in
+  let dispatch = Dispatch.create ~pool ~cache_capacity:sc.cache_cap () in
   let trace = Buffer.create 4096 in
   let tr fmt =
     Printf.ksprintf

@@ -1,34 +1,13 @@
-module E = Search_numerics.Search_error
 module Json = Search_numerics.Json
 module Budget = Search_resilience.Budget
-module Cancel = Search_resilience.Cancel
 module Retry = Search_resilience.Retry
 module Chaos = Search_resilience.Chaos
-module Clock = Search_resilience.Clock
 module Journal = Search_resilience.Journal
 
-type spec = {
-  budget : Budget.t;
-  retry : Retry.policy;
-  backoff : float -> unit;
-  chaos : Chaos.t;
-  cancel : Cancel.t option;
-  clock : unit -> float;
-}
+type spec = { budget : Budget.t; retry : Retry.policy; chaos : Chaos.t }
 
 let default =
-  {
-    budget = Budget.unlimited;
-    retry = Retry.none;
-    (* cooperative, not a real sleep: supervised tasks run on pool
-       workers that the serve dispatch path awaits, so a sleeping
-       backoff would stall the event loop.  Batch callers that want
-       wall-clock backoff opt in with [Unix.sleepf]. *)
-    backoff = Retry.cooperative;
-    chaos = Chaos.disabled;
-    cancel = None;
-    clock = Clock.unix.Clock.now;
-  }
+  { budget = Budget.unlimited; retry = Retry.none; chaos = Chaos.disabled }
 
 type 'b persist = {
   journal : Journal.t;
@@ -37,13 +16,9 @@ type 'b persist = {
 }
 
 let run_one spec ~task x f =
-  Retry.run_with ~sleep:spec.backoff ~policy:spec.retry ~task (fun ~attempt ->
-      (match spec.cancel with
-      | Some c -> Cancel.check c ~task
-      | None -> ());
+  Retry.run ~policy:spec.retry ~task (fun ~attempt ->
       Chaos.run spec.chaos ~task ~attempt (fun () ->
-          let meter = Budget.start ~clock:spec.clock spec.budget ~task in
-          f meter x))
+          f (Budget.start spec.budget ~task) x))
 
 (* Split a list into consecutive groups of [n] (last may be shorter). *)
 let chunked n items =

@@ -1,13 +1,13 @@
 (** Supervised parallel map: budgets, retries, chaos, checkpoints.
 
     {!map} is the resilient counterpart of [Par.parallel_map]: each item
-    runs as a pool task under a {!spec} (cancellation poll, fault
-    injection, per-task budget, retry with backoff) and failures come
-    back as [Error] values instead of aborting the whole batch — the
-    caller renders them as error cells and keeps going (graceful
-    degradation).  With a {!persist} attached, completed results are
-    journalled as they land and found again on resume, so a killed run
-    recomputes only what is missing.
+    runs as a pool task under a {!spec} (fault injection, per-task step
+    budget, immediate retry) and failures come back as [Error] values
+    instead of aborting the whole batch — the caller renders them as
+    error cells and keeps going (graceful degradation).  With a
+    {!persist} attached, completed results are journalled as they land
+    and found again on resume, so a killed run recomputes only what is
+    missing.
 
     Determinism: given deterministic [f] and task keys, the result list
     is independent of the job count and of scheduling; chaos faults are a
@@ -18,25 +18,12 @@
 type spec = {
   budget : Search_resilience.Budget.t;
   retry : Search_resilience.Retry.policy;
-  backoff : float -> unit;
-      (** sleep primitive for retry backoff.  Tasks run on pool workers
-          that latency-sensitive callers (the serve dispatch path)
-          await, so the default is {!Search_resilience.Retry.cooperative}
-          — a processor yield, not a real sleep.  Batch callers that
-          want wall-clock backoff set [Unix.sleepf]. *)
   chaos : Search_resilience.Chaos.t;
-  cancel : Search_resilience.Cancel.t option;
-  clock : unit -> float;
-      (** time source armed into each task's budget meter (the seconds
-          cap backstop).  Default {!Search_resilience.Clock.unix}'s
-          [now]; the deterministic simulator substitutes its virtual
-          clock. *)
 }
 
 val default : spec
-(** Unlimited budget, no retries, cooperative backoff, chaos disabled,
-    no cancellation, wall clock — with [default], [map] degrades to a
-    per-item [try]. *)
+(** Unlimited budget, no retries, chaos disabled — with [default], [map]
+    degrades to a per-item [try]. *)
 
 type 'b persist = {
   journal : Search_resilience.Journal.t;

@@ -15,7 +15,9 @@
 
 type resource =
   | Steps  (** deterministic step/eval count *)
-  | Seconds  (** wall-clock, only ever consulted behind {!Budget} *)
+  | Seconds
+      (** wall-clock; no budget in the library arms a time cap, but the
+          tag stays part of the wire and journal vocabulary *)
 
 type t =
   | Invalid_input of { where : string; what : string }
@@ -34,7 +36,8 @@ type t =
       spent : float;
     }  (** A supervised task ran past its per-task budget. *)
   | Cancelled of { task : string; reason : string }
-      (** A cooperative cancellation token was triggered. *)
+      (** The task was cancelled.  Nothing in the library raises it; it
+          stays part of the wire and journal vocabulary. *)
   | Injected_fault of { task : string; attempt : int; kind : string }
       (** A fault deliberately injected by the deterministic chaos mode. *)
   | Worker_crash of { task : string; attempt : int; detail : string }

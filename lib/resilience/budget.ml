@@ -1,41 +1,23 @@
 module E = Search_numerics.Search_error
 
-type t = { steps : int option; seconds : float option }
+type t = int option
 
-let unlimited = { steps = None; seconds = None }
+let unlimited = None
 
-let make ?steps ?seconds () =
-  (match steps with
-  | Some s when s <= 0 ->
-      E.invalid ~where:"Budget.make" "steps limit must be positive"
-  | _ -> ());
-  (match seconds with
-  | Some s when not (s > 0.) ->
-      E.invalid ~where:"Budget.make" "seconds limit must be positive"
-  | _ -> ());
-  { steps; seconds }
+let make ~steps =
+  if steps <= 0 then
+    E.invalid ~where:"Budget.make" "steps limit must be positive";
+  Some steps
 
-let is_unlimited t = Option.is_none t.steps && Option.is_none t.seconds
+let is_unlimited t = Option.is_none t
 
-type meter = {
-  spec : t;
-  task : string;
-  clock : unit -> float;
-  mutable consumed : int;
-  started : float;  (** 0. when no wall-clock limit is armed *)
-}
+type meter = { limit : int option; task : string; mutable consumed : int }
 
-let start ?(clock = Clock.unix.Clock.now) spec ~task =
-  let started =
-    (* the clock is read only when a seconds cap was requested, so fully
-       deterministic budgets never touch wall time *)
-    match spec.seconds with None -> 0. | Some _ -> clock ()
-  in
-  { spec; task; clock; consumed = 0; started }
+let start limit ~task = { limit; task; consumed = 0 }
 
 let step ?(cost = 1) m =
   m.consumed <- m.consumed + cost;
-  (match m.spec.steps with
+  match m.limit with
   | Some limit when m.consumed > limit ->
       E.raise_
         (E.Budget_exceeded
@@ -45,14 +27,6 @@ let step ?(cost = 1) m =
              limit = float_of_int limit;
              spent = float_of_int m.consumed;
            })
-  | Some _ | None -> ());
-  match m.spec.seconds with
-  | Some limit ->
-      let spent = m.clock () -. m.started in
-      if spent > limit then
-        E.raise_
-          (E.Budget_exceeded
-             { task = m.task; resource = E.Seconds; limit; spent })
-  | None -> ()
+  | Some _ | None -> ()
 
 let used m = m.consumed

@@ -1,41 +1,32 @@
-(** Per-task budgets: deterministic step limits, optional wall-clock caps.
+(** Per-task budgets: deterministic step limits.
 
     A {!t} is a passive spec; {!start} arms it into a {!meter} that the
     task threads through its hot loop, calling {!step} at natural progress
     points.  Enforcement is cooperative — nothing preempts a task that
-    never calls {!step}.
-
-    Determinism contract: the step limit is exact and reproducible.  The
-    [seconds] limit reads the injected clock (default the ambient wall
-    clock, {!Clock.unix}) and therefore must never gate a code path whose
-    *output* is part of a deterministic artefact; it exists as a backstop
-    against runaway tasks. *)
+    never calls {!step}.  The limit counts steps, never time, so it is
+    exact and reproducible at any job count. *)
 
 type t
 (** A budget spec; immutable and shareable across tasks. *)
 
 val unlimited : t
 
-val make : ?steps:int -> ?seconds:float -> unit -> t
-(** [make ?steps ?seconds ()] caps each supervised task at [steps]
-    {!step}-units and/or [seconds] of wall clock.  Omitted means
-    unlimited.  @raise Search_numerics.Search_error.Error on non-positive
-    limits. *)
+val make : steps:int -> t
+(** [make ~steps] caps each supervised task at [steps] {!step}-units.
+    @raise Search_numerics.Search_error.Error when [steps <= 0]. *)
 
 val is_unlimited : t -> bool
 
 type meter
 (** One task's running consumption against a spec. *)
 
-val start : ?clock:(unit -> float) -> t -> task:string -> meter
-(** Arm the budget for task [task]; the clock (if any) starts now.
-    [clock] defaults to {!Clock.unix}'s [now] and is read only when a
-    seconds cap was requested. *)
+val start : t -> task:string -> meter
+(** Arm the budget for task [task]. *)
 
 val step : ?cost:int -> meter -> unit
-(** Record [cost] (default 1) units of progress; checks both limits.
+(** Record [cost] (default 1) units of progress.
     @raise Search_numerics.Search_error.Error with [Budget_exceeded] when
-    either limit is crossed. *)
+    the limit is crossed. *)
 
 val used : meter -> int
 (** Steps consumed so far. *)

@@ -1,30 +1,19 @@
 module E = Search_numerics.Search_error
 module Prng = Search_numerics.Prng
 
-type config = {
-  seed : int;
-  fault_rate : float;
-  max_faults_ : int;
-  delay_rate : float;
-}
+(* Each task suffers a first fault with probability [fault_rate],
+   escalating geometrically up to [fault_cap] faults; with probability
+   [delay_rate] it is also delayed each attempt. *)
+let fault_rate = 0.25
+let fault_cap = 2
+let delay_rate = 0.25
 
-type t = config option
+type t = int option (* the seed *)
 
 let disabled = None
-
-let make ?(fault_rate = 0.25) ?(max_faults = 2) ?(delay_rate = 0.25) ~seed ()
-    =
-  let rate_ok r = Float.is_finite r && r >= 0. && r <= 1. in
-  if not (rate_ok fault_rate) then
-    E.invalid ~where:"Chaos.make" "fault_rate must lie in [0, 1]";
-  if not (rate_ok delay_rate) then
-    E.invalid ~where:"Chaos.make" "delay_rate must lie in [0, 1]";
-  if max_faults < 1 then
-    E.invalid ~where:"Chaos.make" "max_faults must be positive";
-  Some { seed; fault_rate; max_faults_ = max_faults; delay_rate }
-
+let make ~seed () = Some seed
 let enabled t = Option.is_some t
-let max_faults = function None -> 0 | Some c -> c.max_faults_
+let max_faults = function None -> 0 | Some _ -> fault_cap
 
 type plan = { faults : int; kinds : string list; delay : float }
 
@@ -41,18 +30,18 @@ let task_salt task =
   done;
   !h
 
-let compute_plan c ~task =
-  let g = Prng.make ~seed:(c.seed lxor task_salt task) in
+let compute_plan seed ~task =
+  let g = Prng.make ~seed:(seed lxor task_salt task) in
   let u, g = Prng.float g in
   let faults, g =
-    if u >= c.fault_rate then (0, g)
+    if u >= fault_rate then (0, g)
     else
       (* geometric escalation: each extra fault needs another hit *)
       let rec extra n g =
-        if n >= c.max_faults_ then (n, g)
+        if n >= fault_cap then (n, g)
         else
           let u, g = Prng.float g in
-          if u < c.fault_rate then extra (n + 1) g else (n, g)
+          if u < fault_rate then extra (n + 1) g else (n, g)
       in
       extra 1 g
   in
@@ -64,11 +53,11 @@ let compute_plan c ~task =
   in
   let kinds, g = kinds faults g [] in
   let u, _ = Prng.float g in
-  let delay = if u < c.delay_rate then u *. 0.002 else 0. in
+  let delay = if u < delay_rate then u *. 0.002 else 0. in
   { faults; kinds; delay }
 
 let plan t ~task =
-  match t with None -> no_faults | Some c -> compute_plan c ~task
+  match t with None -> no_faults | Some seed -> compute_plan seed ~task
 
 let plan_equal a b =
   Int.equal a.faults b.faults
@@ -82,8 +71,8 @@ let plan_equal a b =
 let[@real_io] run t ~task ~attempt f =
   match t with
   | None -> f ()
-  | Some c ->
-      let p = compute_plan c ~task in
+  | Some seed ->
+      let p = compute_plan seed ~task in
       if p.delay > 0. then Unix.sleepf p.delay;
       if attempt < p.faults then
         E.raise_

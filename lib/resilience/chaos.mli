@@ -17,19 +17,11 @@ type t
 val disabled : t
 (** Injects nothing; zero overhead on the task path. *)
 
-val make :
-  ?fault_rate:float ->
-  ?max_faults:int ->
-  ?delay_rate:float ->
-  seed:int ->
-  unit ->
-  t
+val make : seed:int -> unit -> t
 (** [make ~seed ()] — a task suffers at least one fault with probability
-    [fault_rate] (default 0.25), escalating geometrically up to
-    [max_faults] (default 2) total; with probability [delay_rate] (default
-    0.25) it also gets a sub-2ms artificial delay each attempt.
-    @raise Search_numerics.Search_error.Error on rates outside [0, 1] or
-    non-positive [max_faults]. *)
+    0.25, escalating geometrically (each further fault again with
+    probability 0.25) up to {!max_faults} = 2 in total; with probability
+    0.25 it also gets a sub-2ms artificial delay each attempt. *)
 
 val enabled : t -> bool
 

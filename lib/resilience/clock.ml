@@ -1,10 +1,7 @@
 (* The one sanctioned home for the ambient wall clock (see lint.allow):
-   every time-consumer in the library takes a clock as a parameter and
-   defaults to [unix], so a simulated runtime can substitute a virtual
-   clock without touching production code paths. *)
+   its consumer takes a clock as a parameter and defaults to [unix], so
+   a test can substitute a virtual clock. *)
 
 type t = { now : unit -> float; sleep : float -> unit }
 
 let unix = { now = Unix.gettimeofday; sleep = Unix.sleepf }
-
-let fixed ~now:t = { now = (fun () -> t); sleep = ignore }

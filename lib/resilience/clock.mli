@@ -1,12 +1,11 @@
 (** Injectable time source.
 
-    Every module that needs wall-clock time or a real sleep ({!Budget}
-    seconds caps, {!Lockfile} age stamps and polling,
-    {!Search_exec.Supervise} specs) takes a {!t} and defaults to
-    {!unix}, so the deterministic simulator ([lib/dst]) can run the same
-    code against a virtual clock.  This module is the only sanctioned
-    reader of the ambient clock outside designated observational sinks
-    (see lint.allow); everything else must thread a {!t}. *)
+    {!Lockfile}, the one library module that needs wall-clock time and
+    real sleeps (age stamps and contention polling), takes a {!t} and
+    defaults to {!unix}, so tests can drive it against a virtual clock.
+    This module is the only sanctioned reader of the ambient clock
+    outside designated observational sinks (see lint.allow); everything
+    else must thread a {!t}. *)
 
 type t = {
   now : unit -> float;  (** seconds; epoch-based for {!unix} *)
@@ -15,7 +14,3 @@ type t = {
 
 val unix : t
 (** [Unix.gettimeofday] / [Unix.sleepf]. *)
-
-val fixed : now:float -> t
-(** A frozen clock: [now] always answers the given instant, [sleep]
-    returns immediately.  For tests. *)

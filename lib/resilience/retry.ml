@@ -1,51 +1,21 @@
 module E = Search_numerics.Search_error
 
-type policy = {
-  attempts : int;
-  base_delay : float;
-  factor : float;
-  max_delay : float;
-}
+type policy = { attempts : int }
 
-let none = { attempts = 1; base_delay = 0.; factor = 2.; max_delay = 0. }
-
-let default =
-  { attempts = 3; base_delay = 0.001; factor = 2.; max_delay = 0.05 }
+let none = { attempts = 1 }
 
 let immediate ~attempts =
   if attempts < 1 then
     E.invalid ~where:"Retry.immediate" "need at least one attempt";
-  { none with attempts }
+  { attempts }
 
-let delay_for policy ~attempt =
-  Float.min policy.max_delay
-    (policy.base_delay *. (policy.factor ** float_of_int attempt))
-
-(* [run_with] takes the backoff primitive as a required argument and
-   never mentions [Unix.sleepf]: callers on a latency-sensitive thread
-   (the serve dispatch path) go through here with a cooperative
-   backoff, and the hotpath lint can prove no real sleep is reachable.
-   [run] is the batch/CLI convenience wrapper that defaults to the
-   real thing. *)
-let run_with ~sleep ?(policy = default) ?on_error ~task f =
+let run ~policy ~task f =
   let rec go attempt =
     match f ~attempt with
     | v -> Ok v
     | exception exn ->
         let err = E.classify ~task ~attempt exn in
-        (match on_error with
-        | Some report -> report ~attempt err
-        | None -> ());
-        if E.retryable err && attempt + 1 < policy.attempts then begin
-          let d = delay_for policy ~attempt in
-          if d > 0. then sleep d;
-          go (attempt + 1)
-        end
+        if E.retryable err && attempt + 1 < policy.attempts then go (attempt + 1)
         else Error err
   in
   go 0
-
-let cooperative (_ : float) = Domain.cpu_relax ()
-
-let run ?policy ?(sleep = Unix.sleepf) ?on_error ~task f =
-  run_with ~sleep ?policy ?on_error ~task f

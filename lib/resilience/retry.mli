@@ -1,61 +1,28 @@
-(** Retry with deterministic backoff.
+(** Immediate retry of transient failures.
 
-    The retry *decision* is fully deterministic: it depends only on the
-    policy, the attempt number, and {!Search_numerics.Search_error.retryable}
-    on the classified failure.  The backoff *sleep* affects scheduling
-    only, never results, so outputs stay byte-identical at any job count
-    (and policies with [base_delay = 0.] never sleep at all). *)
+    The retry decision is fully deterministic: it depends only on the
+    attempt count, the attempt number, and
+    {!Search_numerics.Search_error.retryable} on the classified failure.
+    Retries follow each other with no delay, so nothing here sleeps and
+    outputs stay byte-identical at any job count. *)
 
-type policy = {
-  attempts : int;  (** total attempts, including the first; >= 1 *)
-  base_delay : float;  (** seconds before the first retry *)
-  factor : float;  (** exponential growth per retry *)
-  max_delay : float;  (** backoff ceiling in seconds *)
-}
+type policy
+(** How many attempts a task gets in total, the first included. *)
 
 val none : policy
 (** Single attempt, no retries. *)
 
-val default : policy
-(** 3 attempts, 1 ms base delay doubling, capped at 50 ms. *)
-
 val immediate : attempts:int -> policy
-(** [attempts] attempts with zero backoff — for tests and chaos drills.
+(** [attempts] attempts in total — the chaos drills use
+    [Chaos.max_faults + 1].
     @raise Search_numerics.Search_error.Error when [attempts < 1]. *)
 
-val delay_for : policy -> attempt:int -> float
-(** Backoff after failed attempt [attempt] (0-based):
-    [min max_delay (base_delay *. factor ^ attempt)].  Pure. *)
-
-val run_with :
-  sleep:(float -> unit) ->
-  ?policy:policy ->
-  ?on_error:(attempt:int -> Search_numerics.Search_error.t -> unit) ->
-  task:string ->
-  (attempt:int -> 'a) ->
-  ('a, Search_numerics.Search_error.t) result
-(** [run_with ~sleep ~task f] evaluates [f ~attempt:0]; on an exception
-    it classifies the failure, reports it to [on_error], and — when
-    retryable with attempts left — backs off via [sleep] and tries
-    [f ~attempt:(i+1)].  Returns the first success or the last failure.
-    [sleep] is required and never called with a non-positive delay;
-    this entry point never references [Unix.sleepf], so code reachable
-    from the serve event loop can retry without a real sleep anywhere
-    in its call graph (the [hotpath-blocking] lint checks exactly
-    that).  Pass {!cooperative} on latency-sensitive threads. *)
-
-val cooperative : float -> unit
-(** Backoff that yields the processor ([Domain.cpu_relax]) instead of
-    sleeping — ignores the requested delay.  The retry *decision*
-    sequence is unchanged (see the header): only scheduling differs. *)
-
 val run :
-  ?policy:policy ->
-  ?sleep:(float -> unit) ->
-  ?on_error:(attempt:int -> Search_numerics.Search_error.t -> unit) ->
+  policy:policy ->
   task:string ->
   (attempt:int -> 'a) ->
   ('a, Search_numerics.Search_error.t) result
-(** {!run_with} with [sleep] defaulting to [Unix.sleepf] — the
-    batch/CLI convenience wrapper.  Not for code reachable from the
-    serve event loop; use {!run_with} there. *)
+(** [run ~policy ~task f] evaluates [f ~attempt:0]; on an exception it
+    classifies the failure and, when it is retryable with attempts left,
+    tries [f ~attempt:(i+1)] at once.  Returns the first success or the
+    last failure. *)

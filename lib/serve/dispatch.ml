@@ -116,10 +116,20 @@ let eval_certify meter ~m ~k ~f ~n ~lambda =
   let detail = Format.asprintf "%a" FS.Certificate.pp_verdict verdict in
   Protocol.Certify_ok { verdict = tag; detail; bound }
 
+(* Per-request sample caps.  The batch is awaited on the event-loop
+   thread, so one unbounded request would stall every connection (and
+   SIGTERM) until it finished; at the caps a request takes well under a
+   second. *)
+let max_simulate_samples = 100_000
+let max_sweep_samples = 1_000
+
 (* mirrors the CLI sweep's alpha grid around the optimal base, so a serve
    client and the [sweep] subcommand render identical rows *)
 let eval_sweep meter ~m ~k ~f ~n ~samples =
   if samples < 2 then E.invalid ~where:"serve/sweep" "need samples >= 2";
+  if samples > max_sweep_samples then
+    E.invalid ~where:"serve/sweep"
+      (Printf.sprintf "need samples <= %d" max_sweep_samples);
   if not (Float.is_finite n && n >= 1.) then
     E.invalid ~where:"serve/sweep" "need a finite horizon n >= 1";
   let p = searching_or_violation ~where:"serve/sweep" ~m ~k ~f in
@@ -155,6 +165,9 @@ let eval_simulate meter ~beta ~x ~samples ~seed =
   if not (Float.is_finite x) || Float.equal x 0. then
     E.invalid ~where:"serve/simulate" "need a finite non-zero target x";
   if samples < 1 then E.invalid ~where:"serve/simulate" "need samples >= 1";
+  if samples > max_simulate_samples then
+    E.invalid ~where:"serve/simulate"
+      (Printf.sprintf "need samples <= %d" max_simulate_samples);
   Budget.step meter ~cost:samples;
   let prng = FS.Prng.make ~seed in
   let estimate = FS.Randomized.expected_ratio_at ~beta ~x ~samples ~prng in

@@ -1,14 +1,12 @@
 (* Tests for the supervised execution runtime: the error taxonomy, the
-   per-task budgets, cancellation tokens, deterministic retry, chaos
-   fault injection, the checkpoint journal, and the stale-lock-breaking
-   file lock.  The load-bearing properties are (a) chaos is a pure
+   per-task budgets, deterministic retry, chaos fault injection, the
+   checkpoint journal, and the stale-lock-breaking file lock.  The load-bearing properties are (a) chaos is a pure
    function of (seed, task key), so a supervisor with enough retries
    reproduces the fault-free outputs exactly at every job count, and
    (b) a journal written by a killed run resumes to the same results. *)
 
 module E = Search_resilience.Search_error
 module Budget = Search_resilience.Budget
-module Cancel = Search_resilience.Cancel
 module Retry = Search_resilience.Retry
 module Chaos = Search_resilience.Chaos
 module Journal = Search_resilience.Journal
@@ -114,7 +112,7 @@ let test_error_classify () =
 (* Budget *)
 
 let test_budget_step_limit () =
-  let b = Budget.make ~steps:10 () in
+  let b = Budget.make ~steps:10 in
   let m = Budget.start b ~task:"steppy" in
   for _ = 1 to 10 do
     Budget.step m
@@ -130,29 +128,6 @@ let test_budget_step_limit () =
   | () -> Alcotest.fail "bulk step must raise"
   | exception E.Error (E.Budget_exceeded _) -> ()
 
-(* the seconds cap reads an injectable clock: a virtual clock makes the
-   wall-clock backstop fully testable (and the simulated runtime uses
-   exactly this seam) *)
-let test_budget_seconds_with_injected_clock () =
-  let vnow = ref 100.0 in
-  let clock () = !vnow in
-  let b = Budget.make ~seconds:5.0 () in
-  let m = Budget.start ~clock b ~task:"clocked" in
-  vnow := 104.9;
-  Budget.step m;
-  vnow := 105.1;
-  (match Budget.step m with
-  | () -> Alcotest.fail "step past the seconds cap must raise"
-  | exception
-      E.Error
-        (E.Budget_exceeded { task = "clocked"; resource = E.Seconds; _ }) ->
-      ());
-  (* a frozen clock never trips the cap *)
-  let m2 = Budget.start ~clock:(fun () -> 0.) b ~task:"frozen" in
-  for _ = 1 to 1000 do
-    Budget.step m2
-  done
-
 let test_budget_unlimited_and_validation () =
   let m = Budget.start Budget.unlimited ~task:"free" in
   for _ = 1 to 10_000 do
@@ -160,40 +135,22 @@ let test_budget_unlimited_and_validation () =
   done;
   check_bool "unlimited spec" true (Budget.is_unlimited Budget.unlimited);
   check_bool "capped spec" false
-    (Budget.is_unlimited (Budget.make ~steps:1 ()));
-  match Budget.make ~steps:0 () with
+    (Budget.is_unlimited (Budget.make ~steps:1));
+  match Budget.make ~steps:0 with
   | _ -> Alcotest.fail "steps = 0 must be rejected"
   | exception E.Error (E.Invalid_input _) -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Cancel *)
-
-let test_cancel_latch () =
-  let t = Cancel.create () in
-  check_bool "fresh" false (Cancel.is_cancelled t);
-  Cancel.check t ~task:"ok";
-  Cancel.cancel ~reason:"first" t;
-  Cancel.cancel ~reason:"second" t;
-  check_bool "latched" true (Cancel.is_cancelled t);
-  check_string "first reason wins" "first"
-    (Option.value (Cancel.reason t) ~default:"?");
-  match Cancel.check t ~task:"late" with
-  | () -> Alcotest.fail "check on a latched token must raise"
-  | exception E.Error (E.Cancelled { task = "late"; reason = "first" }) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Retry *)
 
 let test_retry_recovers_and_reports () =
-  let observed = ref [] in
-  let calls = ref 0 in
+  let calls = ref [] in
   let result =
     Retry.run
       ~policy:(Retry.immediate ~attempts:3)
-      ~on_error:(fun ~attempt e -> observed := (attempt, E.tag e) :: !observed)
       ~task:"flaky"
       (fun ~attempt ->
-        incr calls;
+        calls := attempt :: !calls;
         if attempt < 2 then
           E.raise_ (E.Injected_fault { task = "flaky"; attempt; kind = "x" })
         else attempt * 10)
@@ -201,9 +158,8 @@ let test_retry_recovers_and_reports () =
   (match result with
   | Ok v -> check_int "third attempt succeeded" 20 v
   | Error e -> Alcotest.fail (E.to_string e));
-  check_int "three calls" 3 !calls;
-  check_bool "both failures reported" true
-    (List.rev !observed = [ (0, "injected-fault"); (1, "injected-fault") ])
+  check_bool "attempts 0, 1, 2 in order" true
+    (List.equal Int.equal (List.rev !calls) [ 0; 1; 2 ])
 
 let test_retry_does_not_retry_deterministic_failures () =
   let calls = ref 0 in
@@ -233,24 +189,6 @@ let test_retry_exhausts_attempts () =
   | Ok _ -> Alcotest.fail "must fail"
   | Error (E.Injected_fault { attempt = 1; _ }) -> ()
   | Error e -> Alcotest.fail ("last failure kept: " ^ E.to_string e)
-
-let test_retry_backoff_deterministic () =
-  let p = { Retry.attempts = 5; base_delay = 0.001; factor = 2.; max_delay = 0.003 } in
-  let delays = List.init 5 (fun a -> Retry.delay_for p ~attempt:a) in
-  check_bool "exponential then capped" true
-    (List.for_all2 Float.equal delays [ 0.001; 0.002; 0.003; 0.003; 0.003 ]);
-  (* sleeps use exactly those delays, via the injected sleep *)
-  let slept = ref [] in
-  let _ =
-    Retry.run ~policy:p
-      ~sleep:(fun d -> slept := d :: !slept)
-      ~task:"sleepy"
-      (fun ~attempt ->
-        E.raise_ (E.Injected_fault { task = "sleepy"; attempt; kind = "x" }))
-  in
-  check_bool "4 backoffs recorded" true
-    (List.rev !slept
-    |> List.for_all2 Float.equal [ 0.001; 0.002; 0.003; 0.003 ])
 
 (* ------------------------------------------------------------------ *)
 (* Chaos *)
@@ -284,10 +222,17 @@ let test_chaos_plan_deterministic () =
     (List.length faulted < List.length tasks)
 
 let test_chaos_run_schedule () =
-  let c = Chaos.make ~seed:7 ~fault_rate:1.0 ~max_faults:3 () in
-  let task = "always-faulty" in
+  let c = Chaos.make ~seed:7 () in
+  (* the first task key whose plan escalates all the way to the cap *)
+  let task =
+    Seq.ints 0
+    |> Seq.map (Printf.sprintf "task-%d")
+    |> Seq.find (fun task ->
+           (Chaos.plan c ~task).Chaos.faults = Chaos.max_faults c)
+    |> Option.get
+  in
   let plan = Chaos.plan c ~task in
-  check_bool "fault_rate 1 means >= 1 fault" true (plan.Chaos.faults >= 1);
+  check_int "plan at the cap" 2 plan.Chaos.faults;
   for a = 0 to plan.Chaos.faults - 1 do
     match Chaos.run c ~task ~attempt:a (fun () -> `Ran) with
     | `Ran -> Alcotest.fail (Printf.sprintf "attempt %d must fault" a)
@@ -637,12 +582,9 @@ let () =
       ( "budget",
         [
           tc "step limit is exact" `Quick test_budget_step_limit;
-          tc "seconds cap reads the injected clock" `Quick
-            test_budget_seconds_with_injected_clock;
           tc "unlimited budgets and validation" `Quick
             test_budget_unlimited_and_validation;
         ] );
-      ( "cancel", [ tc "token latches, first reason wins" `Quick test_cancel_latch ] );
       ( "retry",
         [
           tc "recovers from transient faults" `Quick
@@ -651,8 +593,6 @@ let () =
             test_retry_does_not_retry_deterministic_failures;
           tc "last failure is kept after exhaustion" `Quick
             test_retry_exhausts_attempts;
-          tc "backoff schedule is pure and exact" `Quick
-            test_retry_backoff_deterministic;
         ] );
       ( "chaos",
         [

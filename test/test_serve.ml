@@ -11,6 +11,9 @@ module Dispatch = Search_serve.Dispatch
 module Server = Search_serve.Server
 module Client = Search_serve.Client
 module Pool = Search_exec.Pool
+module Supervise = Search_exec.Supervise
+module Chaos = Search_resilience.Chaos
+module Retry = Search_resilience.Retry
 module Json = Search_numerics.Json
 module E = Search_numerics.Search_error
 
@@ -342,21 +345,25 @@ let mixed_batch =
     P.Certify { m = 2; k = 3; f = 1; n = 200.; lambda = 0.5 };
     P.Certify { m = 2; k = 3; f = 1; n = 200.; lambda = 1.0 };
     P.Certify { m = 3; k = 2; f = 0; n = 200.; lambda = 0.9 };
+    (* one past the per-request sample caps: refused before any work *)
+    P.Simulate { beta = 3.5; x = 500.; samples = 100_001; seed = 11 };
+    P.Sweep { m = 2; k = 3; f = 1; n = 100.; samples = 1_001 };
   ]
+
+let mixed_items = List.mapi (fun i req -> ((), i, req)) mixed_batch
+
+let render batch =
+  List.map
+    (fun ((), id, resp) -> (id, Json.to_string (P.response_to_json resp)))
+    batch
 
 let run_mixed ~jobs =
   Pool.with_pool ~jobs @@ fun pool ->
   let d = Dispatch.create ~pool ~cache_capacity:8 () in
-  let items = List.mapi (fun i req -> ((), i, req)) mixed_batch in
   (* two identical batches: the second's Bound requests must hit the
      shared cache without changing a byte of any response *)
-  let batch1 = Dispatch.handle_batch d items in
-  let batch2 = Dispatch.handle_batch d items in
-  let render batch =
-    List.map
-      (fun ((), id, resp) -> (id, Json.to_string (P.response_to_json resp)))
-      batch
-  in
+  let batch1 = Dispatch.handle_batch d mixed_items in
+  let batch2 = Dispatch.handle_batch d mixed_items in
   (render batch1, render batch2, Dispatch.stats d)
 
 let is_stats_req i = i = 7 (* index of P.Stats in mixed_batch *)
@@ -434,16 +441,74 @@ let test_dispatch_failure_shapes () =
         (match error_where (find i) with
         | Some w -> String.equal w "serve/certify"
         | None -> false))
-    [ 9; 10; 11 ]
+    [ 9; 10; 11 ];
+  List.iter
+    (fun (i, where) ->
+      check_bool
+        (Printf.sprintf "request %d: samples over the cap is invalid-input" i)
+        true
+        (match error_tag (find i) with
+        | Some t -> String.equal t "invalid-input"
+        | None -> false);
+      check_bool
+        (Printf.sprintf "request %d: refused at %s" i where)
+        true
+        (match error_where (find i) with
+        | Some w -> String.equal w where
+        | None -> false))
+    [ (12, "serve/simulate"); (13, "serve/sweep") ]
+
+(* Chaos on the serve path: with one more attempt than the worst-case
+   fault count, every response is byte-identical to the fault-free run
+   at any job count; without retries the injected faults surface as
+   typed [Failed] responses. *)
+let test_dispatch_chaos () =
+  let chaos = Chaos.make ~seed:42 () in
+  let one_batch ?spec ~jobs () =
+    Pool.with_pool ~jobs @@ fun pool ->
+    let d = Dispatch.create ~pool ~cache_capacity:8 ?spec () in
+    Dispatch.handle_batch d mixed_items
+  in
+  List.iter
+    (fun jobs ->
+      let plain = render (one_batch ~spec:Supervise.default ~jobs ()) in
+      let recovered =
+        render
+          (one_batch
+             ~spec:
+               {
+                 Supervise.default with
+                 chaos;
+                 retry = Retry.immediate ~attempts:(Chaos.max_faults chaos + 1);
+               }
+             ~jobs ())
+      in
+      List.iter2
+        (fun (id, a) (_, b) ->
+          if not (is_stats_req id) then
+            check_string
+              (Printf.sprintf "jobs %d: response %d survives chaos" jobs id)
+              a b)
+        plain recovered)
+    [ 1; 4 ];
+  let degraded =
+    one_batch ~spec:{ Supervise.default with chaos } ~jobs:2 ()
+  in
+  check_bool "without retries some request fails with an injected fault"
+    true
+    (List.exists
+       (function
+         | (), _, P.Failed (E.Injected_fault _) -> true | _ -> false)
+       degraded)
 
 let test_dispatch_cache_accounting () =
   let _, _, stats = run_mixed ~jobs:2 in
   check_bool "cache hits observed" true (stats.P.cache.P.hits > 0);
   check_bool "misses bounded by distinct bound keys" true
     (stats.P.cache.P.misses >= 3);
-  check_int "served both batches" 24 stats.P.served;
+  check_int "served both batches" 28 stats.P.served;
   check_int "two batches" 2 stats.P.batches;
-  check_int "max batch" 12 stats.P.max_batch;
+  check_int "max batch" 14 stats.P.max_batch;
   check_bool "pool settled everything" true
     (stats.P.pool.P.pending = 0
     && stats.P.pool.P.submitted = stats.P.pool.P.settled)
@@ -660,6 +725,8 @@ let () =
             test_dispatch_failure_shapes;
           tc "shared cache hits and counters" `Quick
             test_dispatch_cache_accounting;
+          tc "chaos with retries is invisible in the bytes" `Quick
+            test_dispatch_chaos;
         ] );
       ( "server",
         [
