@@ -63,12 +63,20 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let with_params m k f yield =
-  match FS.Params.make ~m ~k ~f with
-  | p -> yield p
-  | exception FS.Search_error.Error (FS.Search_error.Regime_violation _ as e) ->
-      Format.eprintf "invalid parameters: %s@." (FS.Search_error.to_string e);
+(* The boundary checks ([Params.make], [Problem.make], and the
+   [Problem.searching]/[check_*] family the daemon shares) raise typed
+   errors; at the command line they are usage errors. *)
+let checked check yield =
+  match check () with
+  | x -> yield x
+  | exception
+      FS.Search_error.Error
+        ((FS.Search_error.Invalid_input _ | FS.Search_error.Regime_violation _)
+         as e) ->
+      Format.eprintf "%s@." (FS.Search_error.to_string e);
       exit_usage
+
+let with_params m k f = checked (fun () -> FS.Params.make ~m ~k ~f)
 
 (* ------------------------------------------------------------------ *)
 (* bounds                                                              *)
@@ -100,21 +108,12 @@ let bounds_cmd =
 (* simulate                                                            *)
 
 let simulate_run m k f n alpha =
-  with_params m k f @@ fun _p ->
-  match FS.Problem.make ~m ~k ~f ~horizon:n () with
-  | exception Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit_usage
-  | problem -> (
-      match FS.Solve.solve ?alpha problem with
-      | exception
-          FS.Search_error.Error (FS.Search_error.Regime_violation _ as e) ->
-          Format.eprintf "unsolvable: %s@." (FS.Search_error.to_string e);
-          exit_usage
-      | solution ->
-          let report = FS.Verify.verify solution in
-          Format.printf "%a@." FS.Verify.pp report;
-          if FS.Verify.all_ok report then exit_ok else exit_finding)
+  checked (fun () ->
+      FS.Solve.solve ?alpha (FS.Problem.make ~m ~k ~f ~horizon:n ()))
+  @@ fun solution ->
+  let report = FS.Verify.verify solution in
+  Format.printf "%a@." FS.Verify.pp report;
+  if FS.Verify.all_ok report then exit_ok else exit_finding
 
 let simulate_cmd =
   let doc = "Synthesize the optimal strategy and verify it empirically." in
@@ -154,92 +153,72 @@ let json_out_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let certify_run m k f n lambda json_out jobs grid =
-  with_params m k f @@ fun p ->
   if not (check_jobs jobs) then exit_usage
-  else if not (lambda > 1.) then begin
-    (* also catches nan, which fails every comparison *)
-    Format.eprintf "certify: need --lambda > 1@.";
-    exit_usage
-  end
   else
-  match FS.Params.regime p with
-  | FS.Params.Ratio_one | FS.Params.Unsolvable ->
-      Format.eprintf "certify: instance not in the searching regime@.";
-      exit_usage
-  | FS.Params.Searching ->
-      let problem = FS.Problem.make ~m ~k ~f ~horizon:n () in
-      let solution = FS.Solve.solve problem in
-      let turns = Option.get (FS.Solve.orc_turns solution) in
-      let q = FS.Params.q p in
-      let bound = FS.Problem.bound problem in
-      (* the λ-grid (the single claimed λ plus any --grid points) is
-         refuted point-by-point across the domain pool; verdicts come
-         back in input order, so the output does not depend on --jobs *)
-      let lambdas =
-        lambda
-        ::
-        (match grid with
-        | Some c when c > 0 ->
-            FS.Certificate.lambda_grid
-              ~lo:(Float.min lambda bound)
-              ~hi:(Float.max lambda bound)
-              ~count:c
-        | _ -> [])
-      in
-      let verdicts =
-        if m = 2 then
-          FS.Certificate.check_line_sharded ?jobs ~turns ~f ~lambdas ~n ()
-        else
-          FS.Certificate.check_orc_sharded ?jobs ~turns ~demand:q ~lambdas ~n
-            ()
-      in
-      let verdict = snd (List.hd verdicts) in
-      Format.printf "bound:   %.6f@." bound;
-      Format.printf "claimed: %.6f@." lambda;
-      Format.printf "verdict: %a@." FS.Certificate.pp_verdict verdict;
-      (match List.tl verdicts with
-      | [] -> ()
-      | grid_verdicts ->
-          Format.printf "lambda grid (%d points):@."
-            (List.length grid_verdicts);
-          List.iter
-            (fun (l, v) ->
-              Format.printf "  lambda = %.6f: %a@." l
-                FS.Certificate.pp_verdict v)
-            grid_verdicts);
-      (match json_out with
-      | Some path ->
-          let setting =
-            if m = 2 then FS.Assigned.Line_symmetric else FS.Assigned.Orc_setting
-          in
-          let demand = if m = 2 then FS.Params.s p else q in
-          let s =
-            FS.Certificate_io.export_string ~pretty:true ~setting ~k ~demand
-              ~lambda ~n verdict
-          in
-          with_out_file path (fun oc ->
-              output_string oc s;
-              output_char oc '\n');
-          Format.printf "certificate written to %s@." path
-      | None -> ());
-      let lhb =
-        FS.Certificate.log_horizon_bound
-          (if m = 2 then FS.Assigned.Line_symmetric else FS.Assigned.Orc_setting)
-          ~k ~demand:(if m = 2 then FS.Params.s p else q)
-          ~lambda ()
-      in
-      if lhb < infinity then
-        Format.printf
-          "no strategy can cover beyond ln N = %.3f (N ~ 10^%.1f) at this \
-           lambda@."
-          lhb
-          (lhb /. log 10.);
-      (* a refutation of the claimed lambda is a verified finding *)
-      (match verdict with
-      | FS.Certificate.Refuted_gap _ | FS.Certificate.Refuted_potential _ ->
-          exit_finding
-      | FS.Certificate.Not_refuted _ | FS.Certificate.Inconclusive _ ->
-          exit_ok)
+    checked (fun () ->
+        let where = "certify" in
+        let problem = FS.Problem.searching ~where ~m ~k ~f ~horizon:n in
+        FS.Problem.check_lambda ~where lambda;
+        problem)
+    @@ fun problem ->
+    let solution = FS.Solve.solve problem in
+    let bound = FS.Problem.bound problem in
+    (* the λ-grid (the single claimed λ plus any --grid points) is
+       refuted point-by-point across the domain pool; verdicts come
+       back in input order, so the output does not depend on --jobs *)
+    let lambdas =
+      lambda
+      ::
+      (match grid with
+      | Some c when c > 0 ->
+          FS.Certificate.lambda_grid
+            ~lo:(Float.min lambda bound)
+            ~hi:(Float.max lambda bound)
+            ~count:c
+      | _ -> [])
+    in
+    let verdicts =
+      FS.Pool.with_pool ?jobs @@ fun pool ->
+      FS.Par.parallel_map pool
+        ~f:(fun lambda -> (lambda, FS.Solve.certify solution ~lambda))
+        lambdas
+    in
+    let verdict = snd (List.hd verdicts) in
+    Format.printf "bound:   %.6f@." bound;
+    Format.printf "claimed: %.6f@." lambda;
+    Format.printf "verdict: %a@." FS.Certificate.pp_verdict verdict;
+    (match List.tl verdicts with
+    | [] -> ()
+    | grid_verdicts ->
+        Format.printf "lambda grid (%d points):@." (List.length grid_verdicts);
+        List.iter
+          (fun (l, v) ->
+            Format.printf "  lambda = %.6f: %a@." l FS.Certificate.pp_verdict v)
+          grid_verdicts);
+    let setting, demand = FS.Problem.covering problem in
+    (match json_out with
+    | Some path ->
+        let s =
+          FS.Certificate_io.export_string ~pretty:true ~setting ~k ~demand
+            ~lambda ~n verdict
+        in
+        with_out_file path (fun oc ->
+            output_string oc s;
+            output_char oc '\n');
+        Format.printf "certificate written to %s@." path
+    | None -> ());
+    let lhb = FS.Certificate.log_horizon_bound setting ~k ~demand ~lambda () in
+    if lhb < infinity then
+      Format.printf
+        "no strategy can cover beyond ln N = %.3f (N ~ 10^%.1f) at this \
+         lambda@."
+        lhb
+        (lhb /. log 10.);
+    (* a refutation of the claimed lambda is a verified finding *)
+    match verdict with
+    | FS.Certificate.Refuted_gap _ | FS.Certificate.Refuted_potential _ ->
+        exit_finding
+    | FS.Certificate.Not_refuted _ | FS.Certificate.Inconclusive _ -> exit_ok
 
 let certify_cmd =
   let doc = "Run the lower-bound certificate against a claimed ratio." in
@@ -357,111 +336,88 @@ let row_of_json = function
   | _ -> Error "sweep: expected null or a cell list"
 
 let sweep_run m k f n samples jobs chaos_seed retries checkpoint out chunk =
-  with_params m k f @@ fun p ->
   if not (check_jobs jobs) then exit_usage
-  else if samples < 2 then begin
-    Format.eprintf "sweep: need --samples >= 2@.";
-    exit_usage
-  end
   else if chunk < 1 then begin
     Format.eprintf "sweep: need --chunk >= 1@.";
     exit_usage
   end
   else
-  match FS.Params.regime p with
-  | FS.Params.Ratio_one | FS.Params.Unsolvable ->
-      Format.eprintf "sweep: instance not in the searching regime@.";
-      exit_usage
-  | FS.Params.Searching ->
-      let q = FS.Params.q p in
-      let a_star = FS.Formulas.alpha_star ~q ~k in
-      let tbl =
-        FS.Table.create
-          ~title:
-            (Format.asprintf "ratio vs alpha for %a (alpha* = %.6f)"
-               FS.Params.pp p a_star)
-          [ ("alpha", FS.Table.Right); ("predicted", FS.Table.Right);
-            ("simulated", FS.Table.Right) ]
-      in
-      let persist =
-        Option.map
-          (fun dir ->
-            let config =
-              FS.Json.Assoc
-                [
-                  ("run", FS.Json.String "sweep");
-                  ("m", FS.Json.Number (float_of_int m));
-                  ("k", FS.Json.Number (float_of_int k));
-                  ("f", FS.Json.Number (float_of_int f));
-                  ("n", FS.Json.Number n);
-                  ("samples", FS.Json.Number (float_of_int samples));
-                ]
-            in
-            {
-              FS.Supervise.journal = FS.Journal.open_ ~dir ~config;
-              encode = row_to_json;
-              decode = row_of_json;
-            })
-          checkpoint
-      in
-      let spec =
-        {
-          FS.Supervise.default with
-          chaos = chaos_of chaos_seed;
-          retry = retry_of retries;
-        }
-      in
-      (* each sample point synthesizes and attacks its own strategy, so the
-         rows shard across the pool; they are re-assembled in input order
-         and the table is printed sequentially — same bytes at any --jobs.
-         A failing cell degrades to a marked error row instead of aborting
-         the table, and the command exits 3. *)
-      let rows =
-        FS.Pool.with_pool ?jobs @@ fun pool ->
-        FS.Supervise.map pool ~spec ?persist ~chunk
-          ~task:(fun i _ -> Printf.sprintf "sweep/alpha-%d" i)
-          ~f:(fun _meter i ->
-            let t = float_of_int i /. float_of_int (samples - 1) in
-            let alpha = a_star *. (0.7 +. (0.8 *. t)) in
-            if alpha > 1.001 then begin
-              let problem = FS.Problem.make ~m ~k ~f ~horizon:n () in
-              let solution = FS.Solve.solve ~alpha problem in
-              let outcome =
-                FS.Adversary.worst_case
-                  (FS.Solve.trajectories solution)
-                  ~f ~n ()
-              in
-              Some
-                [
-                  FS.Table.cell_f ~decimals:4 alpha;
-                  FS.Table.cell_f ~decimals:4 solution.FS.Solve.designed_ratio;
-                  FS.Table.cell_f ~decimals:4 outcome.FS.Adversary.ratio;
-                ]
-            end
-            else None)
-          (List.init samples Fun.id)
-      in
-      Option.iter (fun pr -> FS.Journal.finish pr.FS.Supervise.journal) persist;
-      let failed = ref 0 in
-      List.iter
-        (function
-          | Ok row -> Option.iter (FS.Table.add_row tbl) row
-          | Error err ->
-              incr failed;
-              Format.eprintf "sweep: %a@." FS.Search_error.pp err;
-              FS.Table.add_row tbl
-                [ "!ERR " ^ FS.Search_error.tag err; "-"; "-" ])
-        rows;
-      let text = FS.Table.render tbl in
-      (match out with
-      | None -> print_string text
-      | Some file ->
-          let oc = open_out_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc text);
-          Format.printf "sweep table written to %s@." file);
-      if !failed = 0 then exit_ok else exit_internal
+    checked (fun () ->
+        let where = "sweep" in
+        FS.Problem.check_samples ~where samples;
+        FS.Problem.searching ~where ~m ~k ~f ~horizon:n)
+    @@ fun problem ->
+    let p = problem.FS.Problem.params in
+    let a_star = FS.Formulas.alpha_star ~q:(FS.Params.q p) ~k in
+    let tbl =
+      FS.Table.create
+        ~title:
+          (Format.asprintf "ratio vs alpha for %a (alpha* = %.6f)"
+             FS.Params.pp p a_star)
+        [ ("alpha", FS.Table.Right); ("predicted", FS.Table.Right);
+          ("simulated", FS.Table.Right) ]
+    in
+    let persist =
+      Option.map
+        (fun dir ->
+          let config =
+            FS.Json.Assoc
+              [
+                ("run", FS.Json.String "sweep");
+                ("m", FS.Json.Number (float_of_int m));
+                ("k", FS.Json.Number (float_of_int k));
+                ("f", FS.Json.Number (float_of_int f));
+                ("n", FS.Json.Number n);
+                ("samples", FS.Json.Number (float_of_int samples));
+              ]
+          in
+          {
+            FS.Supervise.journal = FS.Journal.open_ ~dir ~config;
+            encode = row_to_json;
+            decode = row_of_json;
+          })
+        checkpoint
+    in
+    let spec =
+      {
+        FS.Supervise.default with
+        chaos = chaos_of chaos_seed;
+        retry = retry_of retries;
+      }
+    in
+    (* each sample point synthesizes and attacks its own strategy, so the
+       rows shard across the pool; they are re-assembled in input order
+       and the table is printed sequentially — same bytes at any --jobs.
+       A failing cell degrades to a marked error row instead of aborting
+       the table, and the command exits 3. *)
+    let rows =
+      FS.Pool.with_pool ?jobs @@ fun pool ->
+      FS.Supervise.map pool ~spec ?persist ~chunk
+        ~task:(fun i _ -> Printf.sprintf "sweep/alpha-%d" i)
+        ~f:(fun _meter i -> FS.Verify.sweep_row problem ~samples i)
+        (List.init samples Fun.id)
+    in
+    Option.iter (fun pr -> FS.Journal.finish pr.FS.Supervise.journal) persist;
+    let failed = ref 0 in
+    List.iter
+      (function
+        | Ok row -> Option.iter (FS.Table.add_row tbl) row
+        | Error err ->
+            incr failed;
+            Format.eprintf "sweep: %a@." FS.Search_error.pp err;
+            FS.Table.add_row tbl
+              [ "!ERR " ^ FS.Search_error.tag err; "-"; "-" ])
+      rows;
+    let text = FS.Table.render tbl in
+    (match out with
+    | None -> print_string text
+    | Some file ->
+        let oc = open_out_bin file in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () -> output_string oc text);
+        Format.printf "sweep table written to %s@." file);
+    if !failed = 0 then exit_ok else exit_internal
 
 let sweep_cmd =
   let doc = "Ratio of the exponential strategy as a function of its base." in
@@ -480,28 +436,19 @@ let target_arg =
   Arg.(value & opt float 42. & info [ "target" ] ~docv:"X" ~doc)
 
 let trace_run m k f target =
-  with_params m k f @@ fun p ->
-  match FS.Params.regime p with
-  | FS.Params.Unsolvable ->
-      Format.eprintf "trace: unsolvable instance@.";
-      exit_usage
-  | FS.Params.Ratio_one | FS.Params.Searching ->
-      let problem = FS.Problem.make ~m ~k ~f ~horizon:(4. *. target) () in
-      let solution = FS.Solve.solve problem in
-      let trajectories = FS.Solve.trajectories solution in
-      let world = FS.World.rays m in
-      let point = FS.World.point world ~ray:0 ~dist:target in
-      let horizon = 2. *. FS.Problem.bound problem *. target in
-      let first_visits =
-        FS.Engine.first_visits trajectories ~target:point ~horizon
-      in
-      let assignment =
-        FS.Fault.worst_for_visits FS.Fault.Crash ~first_visits ~f
-      in
-      FS.Event_log.print
-        (FS.Event_log.narrate_crash ~min_turn_depth:(target /. 100.)
-           trajectories ~assignment ~target:point ~horizon);
-      0
+  checked (fun () ->
+      FS.Solve.solve (FS.Problem.make ~m ~k ~f ~horizon:(4. *. target) ()))
+  @@ fun solution ->
+  let trajectories = FS.Solve.trajectories solution in
+  let world = FS.World.rays m in
+  let point = FS.World.point world ~ray:0 ~dist:target in
+  let horizon = 2. *. solution.FS.Solve.bound *. target in
+  let first_visits = FS.Engine.first_visits trajectories ~target:point ~horizon in
+  let assignment = FS.Fault.worst_for_visits FS.Fault.Crash ~first_visits ~f in
+  FS.Event_log.print
+    (FS.Event_log.narrate_crash ~min_turn_depth:(target /. 100.) trajectories
+       ~assignment ~target:point ~horizon);
+  exit_ok
 
 let trace_cmd =
   let doc = "Narrate a search run against the worst-case fault assignment." in
@@ -657,25 +604,15 @@ let out_arg =
   Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
 let report_run m k f n out =
-  with_params m k f @@ fun _p ->
-  match FS.Problem.make ~m ~k ~f ~horizon:n () with
-  | exception Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit_usage
-  | problem -> (
-      match FS.Report.build problem with
-      | exception
-          FS.Search_error.Error (FS.Search_error.Regime_violation _ as e) ->
-          Format.eprintf "unsolvable: %s@." (FS.Search_error.to_string e);
-          exit_usage
-      | report ->
-          let md = FS.Report.to_markdown report in
-          if out = "-" then print_string md
-          else begin
-            with_out_file out (fun oc -> output_string oc md);
-            Format.printf "report written to %s@." out
-          end;
-          exit_ok)
+  checked (fun () -> FS.Problem.make ~m ~k ~f ~horizon:n ()) @@ fun problem ->
+  checked (fun () -> FS.Report.build problem) @@ fun report ->
+  let md = FS.Report.to_markdown report in
+  if out = "-" then print_string md
+  else begin
+    with_out_file out (fun oc -> output_string oc md);
+    Format.printf "report written to %s@." out
+  end;
+  exit_ok
 
 let report_cmd =
   let doc = "Full markdown report for one instance (bounds, simulation, \

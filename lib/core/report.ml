@@ -25,22 +25,18 @@ let build ?(claimed_fraction = 0.99) problem =
       .Search_sim.Exact_adversary.sup
   in
   let certificate_below, byzantine_transfer =
-    match (Params.regime params, Solve.orc_turns solution) with
-    | Params.Searching, Some turns ->
+    match Params.regime params with
+    | Params.Searching ->
         let lambda = claimed_fraction *. Problem.bound problem in
-        let verdict =
-          if params.Params.m = 2 then
-            Certificate.check_line ~turns ~f ~lambda ~n ()
-          else
-            Certificate.check_orc ~turns ~demand:(Params.q params) ~lambda ~n ()
-        in
+        (* the Byzantine transfer B >= A is a result on the line *)
         let byz =
-          if params.Params.m = 2 then
-            Some (Search_bounds.Byzantine.lower_bound ~k:params.Params.k ~f)
-          else None
+          match Problem.covering problem with
+          | Search_covering.Assigned.Line_symmetric, _ ->
+              Some (Search_bounds.Byzantine.lower_bound ~k:params.Params.k ~f)
+          | Search_covering.Assigned.Orc_setting, _ -> None
         in
-        (Some verdict, byz)
-    | _ -> (None, None)
+        (Some (Solve.certify solution ~lambda), byz)
+    | Params.Ratio_one | Params.Unsolvable -> (None, None)
   in
   {
     problem;

@@ -1,6 +1,7 @@
 module Params = Search_bounds.Params
 module Group = Search_strategy.Group
 module Mray = Search_strategy.Mray_exponential
+module Certificate = Search_covering.Certificate
 
 type solution = {
   problem : Problem.t;
@@ -54,3 +55,18 @@ let trajectories t = Group.trajectories t.group
 
 let orc_turns t =
   Option.map Search_covering.Orc.of_mray_group t.exponential
+
+let certify t ~lambda =
+  let { Params.m; k; f } = t.problem.Problem.params in
+  match orc_turns t with
+  | None ->
+      E.raise_
+        (E.Regime_violation
+           { m; k; f; what = "the certificate needs the searching regime" })
+  | Some turns -> (
+      let n = t.problem.Problem.horizon in
+      match Problem.covering t.problem with
+      | Search_covering.Assigned.Line_symmetric, _ ->
+          Certificate.check_line ~turns ~f ~lambda ~n ()
+      | Search_covering.Assigned.Orc_setting, demand ->
+          Certificate.check_orc ~turns ~demand ~lambda ~n ())

@@ -29,3 +29,11 @@ val orc_turns : solution -> Search_strategy.Turning.t array option
 (** The ORC projection of the group's round strategies (for covering
     checks); [None] in the ratio-one regime (straight-line robots have no
     rounds). *)
+
+val certify : solution -> lambda:float -> Search_covering.Certificate.verdict
+(** The lower-bound certificate of the solution's group against a
+    claimed [lambda] on [[1, horizon]], in the instance's
+    {!Problem.covering} setting.  Check [lambda] with
+    {!Problem.check_lambda} first.
+    @raise Search_numerics.Search_error.Error ([Regime_violation])
+      outside the searching regime. *)

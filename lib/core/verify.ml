@@ -1,5 +1,6 @@
 module Adversary = Search_sim.Adversary
 module Sweep = Search_numerics.Sweep
+module Table = Search_numerics.Table
 
 type report = {
   solution : Solve.solution;
@@ -39,6 +40,26 @@ let verify ?(tolerance = 1e-6) solution =
     covering_ok;
     gap_to_bound = designed -. solution.Solve.bound;
   }
+
+let sweep_row problem ~samples i =
+  let { Search_bounds.Params.k; f; _ } = problem.Problem.params in
+  let q = Search_bounds.Params.q problem.Problem.params in
+  let t = float_of_int i /. float_of_int (samples - 1) in
+  let alpha = Search_bounds.Formulas.alpha_star ~q ~k *. (0.7 +. (0.8 *. t)) in
+  if alpha > 1.001 then begin
+    let solution = Solve.solve ~alpha problem in
+    let outcome =
+      Adversary.worst_case (Solve.trajectories solution) ~f
+        ~n:problem.Problem.horizon ()
+    in
+    Some
+      [
+        Table.cell_f ~decimals:4 alpha;
+        Table.cell_f ~decimals:4 solution.Solve.designed_ratio;
+        Table.cell_f ~decimals:4 outcome.Adversary.ratio;
+      ]
+  end
+  else None
 
 let all_ok r =
   r.simulation_ok && (match r.covering_ok with None -> true | Some b -> b)

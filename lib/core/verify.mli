@@ -25,6 +25,14 @@ type report = {
 val verify : ?tolerance:float -> Solve.solution -> report
 (** [tolerance] is relative, default [1e-6]. *)
 
+val sweep_row : Problem.t -> samples:int -> int -> string list option
+(** Row [i] of the α-sweep over [samples] bases
+    [α = α*·(0.7 + 0.8·i/(samples−1))] around the optimal base α* of a
+    searching-regime instance: [None] at or below the floor [α <= 1.001],
+    else the cells [α], designed ratio and simulated worst case on
+    [[1, horizon]], at four decimals.  Check [samples] with
+    {!Problem.check_samples} first. *)
+
 val all_ok : report -> bool
 
 val pp : Format.formatter -> report -> unit

@@ -10,8 +10,9 @@
 
     The type lives at the bottom of the dependency stack (numerics) so that
     [lib/bounds], [lib/sim], [lib/exec] and everything above can raise it
-    without dependency cycles; [Search_resilience.Search_error] re-exports
-    it unchanged. *)
+    without dependency cycles; every layer names it
+    [Search_numerics.Search_error] (the [Faulty_search] facade as
+    [Faulty_search.Search_error]). *)
 
 type resource =
   | Steps  (** deterministic step/eval count *)

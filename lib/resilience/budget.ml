@@ -9,8 +9,6 @@ let make ~steps =
     E.invalid ~where:"Budget.make" "steps limit must be positive";
   Some steps
 
-let is_unlimited t = Option.is_none t
-
 type meter = { limit : int option; task : string; mutable consumed : int }
 
 let start limit ~task = { limit; task; consumed = 0 }
@@ -28,5 +26,3 @@ let step ?(cost = 1) m =
              spent = float_of_int m.consumed;
            })
   | Some _ | None -> ()
-
-let used m = m.consumed

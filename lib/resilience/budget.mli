@@ -15,8 +15,6 @@ val make : steps:int -> t
 (** [make ~steps] caps each supervised task at [steps] {!step}-units.
     @raise Search_numerics.Search_error.Error when [steps <= 0]. *)
 
-val is_unlimited : t -> bool
-
 type meter
 (** One task's running consumption against a spec. *)
 
@@ -27,6 +25,3 @@ val step : ?cost:int -> meter -> unit
 (** Record [cost] (default 1) units of progress.
     @raise Search_numerics.Search_error.Error with [Budget_exceeded] when
     the limit is crossed. *)
-
-val used : meter -> int
-(** Steps consumed so far. *)

@@ -12,7 +12,6 @@ type t = int option (* the seed *)
 
 let disabled = None
 let make ~seed () = Some seed
-let enabled t = Option.is_some t
 let max_faults = function None -> 0 | Some _ -> fault_cap
 
 type plan = { faults : int; kinds : string list; delay : float }

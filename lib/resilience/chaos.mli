@@ -23,8 +23,6 @@ val make : seed:int -> unit -> t
     probability 0.25) up to {!max_faults} = 2 in total; with probability
     0.25 it also gets a sub-2ms artificial delay each attempt. *)
 
-val enabled : t -> bool
-
 val max_faults : t -> int
 (** Worst-case faults per task (0 when disabled): a retry policy with
     [attempts > max_faults] always recovers. *)

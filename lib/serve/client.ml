@@ -10,7 +10,7 @@ type t =
     }
       -> t
 
-let connect ?(runtime = Runtime.default) ?max_frame ~socket_path () =
+let connect ?(runtime = Runtime.default) ~socket_path () =
   match runtime with
   | Runtime.T ops ->
       let fd = ops.Runtime.connect ~path:socket_path in
@@ -19,7 +19,7 @@ let connect ?(runtime = Runtime.default) ?max_frame ~socket_path () =
           fd;
           ops;
           path = socket_path;
-          decoder = Protocol.Frame.Decoder.create ?max_frame ();
+          decoder = Protocol.Frame.Decoder.create ();
           scratch = Bytes.create 65536;
         }
 
@@ -67,6 +67,6 @@ let call t ~id req =
 
 let close (Client c) = c.ops.Runtime.close c.fd
 
-let with_client ?runtime ?max_frame ~socket_path f =
-  let t = connect ?runtime ?max_frame ~socket_path () in
+let with_client ?runtime ~socket_path f =
+  let t = connect ?runtime ~socket_path () in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)

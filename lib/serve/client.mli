@@ -10,8 +10,7 @@
 
 type t
 
-val connect :
-  ?runtime:Runtime.t -> ?max_frame:int -> socket_path:string -> unit -> t
+val connect : ?runtime:Runtime.t -> socket_path:string -> unit -> t
 (** [runtime] defaults to {!Runtime.default} (real Unix sockets); the
     deterministic simulator passes its fake network.
     @raise Search_numerics.Search_error.Error with [Io_failure] when the
@@ -30,5 +29,5 @@ val call : t -> id:int -> Protocol.request -> int * Protocol.response
 val close : t -> unit
 
 val with_client :
-  ?runtime:Runtime.t -> ?max_frame:int -> socket_path:string -> (t -> 'a) -> 'a
+  ?runtime:Runtime.t -> socket_path:string -> (t -> 'a) -> 'a
 (** Connect, run, close (also on exception). *)

@@ -78,34 +78,14 @@ let eval_bound t meter ~m ~k ~f =
   in
   Protocol.Bound_ok payload
 
-let searching_or_violation ~where ~m ~k ~f =
-  let p = FS.Params.make ~m ~k ~f in
-  match FS.Params.regime p with
-  | FS.Params.Searching -> p
-  | FS.Params.Ratio_one | FS.Params.Unsolvable ->
-      E.raise_
-        (E.Regime_violation
-           { m; k; f; what = where ^ " requires the searching regime" })
-
 let eval_certify meter ~m ~k ~f ~n ~lambda =
-  if not (Float.is_finite n && n >= 1.) then
-    E.invalid ~where:"serve/certify" "need a finite horizon n >= 1";
-  (* the coverage kernels need lambda > 1; refuse the rest here, at the
-     boundary, as the CLI does *)
-  if not (Float.is_finite lambda && lambda > 1.) then
-    E.invalid ~where:"serve/certify" "need a finite lambda > 1";
-  let p = searching_or_violation ~where:"serve/certify" ~m ~k ~f in
-  let q = FS.Params.q p in
+  let where = "serve/certify" in
+  let problem = FS.Problem.searching ~where ~m ~k ~f ~horizon:n in
+  FS.Problem.check_lambda ~where lambda;
   Budget.step meter;
-  let problem = FS.Problem.make ~m ~k ~f ~horizon:n () in
   let solution = FS.Solve.solve problem in
-  let turns = Option.get (FS.Solve.orc_turns solution) in
-  let bound = FS.Problem.bound problem in
   Budget.step meter;
-  let verdict =
-    if m = 2 then FS.Certificate.check_line ~turns ~f ~lambda ~n ()
-    else FS.Certificate.check_orc ~turns ~demand:q ~lambda ~n ()
-  in
+  let verdict = FS.Solve.certify solution ~lambda in
   let tag =
     match verdict with
     | FS.Certificate.Refuted_gap _ -> "refuted-gap"
@@ -114,47 +94,30 @@ let eval_certify meter ~m ~k ~f ~n ~lambda =
     | FS.Certificate.Inconclusive _ -> "inconclusive"
   in
   let detail = Format.asprintf "%a" FS.Certificate.pp_verdict verdict in
-  Protocol.Certify_ok { verdict = tag; detail; bound }
+  Protocol.Certify_ok
+    { verdict = tag; detail; bound = FS.Problem.bound problem }
 
-(* Per-request sample caps.  The batch is awaited on the event-loop
-   thread, so one unbounded request would stall every connection (and
-   SIGTERM) until it finished; at the caps a request takes well under a
-   second. *)
+(* Per-request caps.  The batch is awaited on the event-loop thread, so
+   one unbounded request would stall every connection (and SIGTERM)
+   until it finished; at the caps a request takes well under a second
+   (a sweep's cost grows with log n). *)
 let max_simulate_samples = 100_000
 let max_sweep_samples = 1_000
+let max_sweep_horizon = 1e9
 
-(* mirrors the CLI sweep's alpha grid around the optimal base, so a serve
-   client and the [sweep] subcommand render identical rows *)
 let eval_sweep meter ~m ~k ~f ~n ~samples =
-  if samples < 2 then E.invalid ~where:"serve/sweep" "need samples >= 2";
+  let where = "serve/sweep" in
+  FS.Problem.check_samples ~where samples;
   if samples > max_sweep_samples then
-    E.invalid ~where:"serve/sweep"
-      (Printf.sprintf "need samples <= %d" max_sweep_samples);
-  if not (Float.is_finite n && n >= 1.) then
-    E.invalid ~where:"serve/sweep" "need a finite horizon n >= 1";
-  let p = searching_or_violation ~where:"serve/sweep" ~m ~k ~f in
-  let q = FS.Params.q p in
-  let a_star = FS.Formulas.alpha_star ~q ~k in
+    E.invalid ~where (Printf.sprintf "need samples <= %d" max_sweep_samples);
+  let problem = FS.Problem.searching ~where ~m ~k ~f ~horizon:n in
+  if n > max_sweep_horizon then
+    E.invalid ~where (Printf.sprintf "need n <= %g" max_sweep_horizon);
   let rows =
     List.filter_map
       (fun i ->
         Budget.step meter;
-        let t = float_of_int i /. float_of_int (samples - 1) in
-        let alpha = a_star *. (0.7 +. (0.8 *. t)) in
-        if alpha > 1.001 then begin
-          let problem = FS.Problem.make ~m ~k ~f ~horizon:n () in
-          let solution = FS.Solve.solve ~alpha problem in
-          let outcome =
-            FS.Adversary.worst_case (FS.Solve.trajectories solution) ~f ~n ()
-          in
-          Some
-            [
-              FS.Table.cell_f ~decimals:4 alpha;
-              FS.Table.cell_f ~decimals:4 solution.FS.Solve.designed_ratio;
-              FS.Table.cell_f ~decimals:4 outcome.FS.Adversary.ratio;
-            ]
-        end
-        else None)
+        FS.Verify.sweep_row problem ~samples i)
       (List.init samples Fun.id)
   in
   Protocol.Sweep_ok { rows }

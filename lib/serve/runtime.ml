@@ -25,7 +25,7 @@ type t = T : 'fd ops -> t
 
    Every handler below is an audited [@real_io] barrier: this record is
    the one place the serve layer touches the real OS, and the escape
-   analysis (lint --escape, escape-realio) checks that nothing else
+   analysis (the lint's escape-realio rule) checks that nothing else
    reachable from the ops seam or the dst fibers does.  [@releases]
    marks the two acquirers whose error paths close the descriptor
    before re-raising (and whose success path transfers ownership to

@@ -4,17 +4,14 @@ type config = {
   socket_path : string;
   queue_cap : int;
   batch_cap : int;
-  max_frame : int;
   log : string -> unit;
 }
 
-let config ?(queue_cap = 64) ?(batch_cap = 32)
-    ?(max_frame = Protocol.Frame.default_max_frame) ?(log = ignore)
-    ~socket_path () =
+let config ?(queue_cap = 64) ?(batch_cap = 32) ?(log = ignore) ~socket_path ()
+    =
   if queue_cap < 1 then E.invalid ~where:"Server.config" "need queue_cap >= 1";
   if batch_cap < 1 then E.invalid ~where:"Server.config" "need batch_cap >= 1";
-  if max_frame < 8 then E.invalid ~where:"Server.config" "need max_frame >= 8";
-  { socket_path; queue_cap; batch_cap; max_frame; log }
+  { socket_path; queue_cap; batch_cap; log }
 
 type 'fd conn = {
   fd : 'fd;
@@ -27,10 +24,10 @@ type 'fd conn = {
   mutable dead : bool;  (** transport failed: close now *)
 }
 
-let make_conn ~max_frame fd =
+let make_conn fd =
   {
     fd;
-    decoder = Protocol.Frame.Decoder.create ~max_frame ();
+    decoder = Protocol.Frame.Decoder.create ();
     out = Buffer.create 512;
     sent = 0;
     inflight = 0;
@@ -124,7 +121,7 @@ let[@event_loop] serve : type fd.
       match ops.Runtime.accept listener with
       | `Again | `Err _ -> ()
       | `Conn fd ->
-          conns := make_conn ~max_frame:cfg.max_frame fd :: !conns;
+          conns := make_conn fd :: !conns;
           go ()
     in
     go ()

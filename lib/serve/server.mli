@@ -29,20 +29,18 @@ type config = {
   socket_path : string;
   queue_cap : int;  (** backlog bound; pushes beyond it shed *)
   batch_cap : int;  (** max requests dispatched per cycle *)
-  max_frame : int;  (** framing limit, bytes *)
   log : string -> unit;  (** daemon lifecycle messages; [ignore] to mute *)
 }
 
 val config :
   ?queue_cap:int ->
   ?batch_cap:int ->
-  ?max_frame:int ->
   ?log:(string -> unit) ->
   socket_path:string ->
   unit ->
   config
-(** Defaults: [queue_cap = 64], [batch_cap = 32],
-    [max_frame = Protocol.Frame.default_max_frame], [log = ignore].
+(** Defaults: [queue_cap = 64], [batch_cap = 32], [log = ignore].  Frames
+    are capped at {!Protocol.Frame.default_max_frame} bytes.
     @raise Search_numerics.Search_error.Error on non-positive caps. *)
 
 val run :

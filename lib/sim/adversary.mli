@@ -54,8 +54,8 @@ val compiled_scan :
     into [out] ([out.(0) = neg_infinity] when the candidate set is
     empty); raises the {!Search_numerics.Search_error.Non_convergence}
     NaN contract of [Stats.sup_add].  A [@hot] lint root: zero
-    reachable allocation sites, checked by [lint --hotpath] and
-    cross-checked dynamically by [bench/kernels.exe]. *)
+    reachable allocation sites, checked by the lint's [hotpath-alloc]
+    rule and cross-checked dynamically by [bench/kernels.exe]. *)
 
 val worst_case :
   Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float -> n:float

@@ -24,8 +24,45 @@ let test_problem_validation () =
       ()
   | _ -> Alcotest.fail "k=0 accepted");
   match FS.Problem.make ~m:2 ~k:1 ~f:0 ~horizon:0.5 () with
-  | exception Invalid_argument _ -> ()
+  | exception FS.Search_error.Error (FS.Search_error.Invalid_input _) -> ()
   | _ -> Alcotest.fail "horizon < 1 accepted"
+
+(* The boundary checks the CLI and the daemon share: each bad input
+   raises its typed error, tagged with the caller's [where]. *)
+let test_problem_boundary_checks () =
+  let module E = FS.Search_error in
+  let instance ~m ~k ~horizon () =
+    ignore (FS.Problem.searching ~where:"here" ~m ~k ~f:1 ~horizon)
+  in
+  let invalid what = E.Invalid_input { where = "here"; what } in
+  let horizon = invalid "need a finite horizon n >= 1" in
+  let lambda = invalid "need a finite lambda > 1" in
+  List.iter
+    (fun (name, run, expected) ->
+      match run () with
+      | () -> Alcotest.failf "%s accepted" name
+      | exception E.Error e ->
+          Alcotest.(check string) name (E.to_string expected) (E.to_string e))
+    [
+      ("horizon 0.5", instance ~m:2 ~k:3 ~horizon:0.5, horizon);
+      ("horizon nan", instance ~m:2 ~k:3 ~horizon:Float.nan, horizon);
+      ("horizon inf", instance ~m:2 ~k:3 ~horizon:Float.infinity, horizon);
+      ("lambda 1.0", (fun () -> FS.Problem.check_lambda ~where:"here" 1.), lambda);
+      ( "lambda nan",
+        (fun () -> FS.Problem.check_lambda ~where:"here" Float.nan),
+        lambda );
+      ( "samples 1",
+        (fun () -> FS.Problem.check_samples ~where:"here" 1),
+        invalid "need samples >= 2" );
+      ( "ratio-one instance",
+        instance ~m:2 ~k:8 ~horizon:100.,
+        E.Regime_violation
+          { m = 2; k = 8; f = 1; what = "here requires the searching regime" } );
+    ];
+  instance ~m:2 ~k:3 ~horizon:100. ();
+  instance ~m:3 ~k:2 ~horizon:1e9 ();
+  FS.Problem.check_lambda ~where:"here" 1.5;
+  FS.Problem.check_samples ~where:"here" 2
 
 let test_problem_byzantine_bound () =
   let p = FS.Problem.line ~fault_kind:FS.Problem.Byzantine ~k:3 ~f:1 () in
@@ -298,6 +335,7 @@ let () =
         [
           tc "defaults" `Quick test_problem_defaults;
           tc "validation" `Quick test_problem_validation;
+          tc "boundary checks" `Quick test_problem_boundary_checks;
           tc "byzantine bound" `Quick test_problem_byzantine_bound;
         ] );
       ( "solve",

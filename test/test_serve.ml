@@ -348,6 +348,8 @@ let mixed_batch =
     (* one past the per-request sample caps: refused before any work *)
     P.Simulate { beta = 3.5; x = 500.; samples = 100_001; seed = 11 };
     P.Sweep { m = 2; k = 3; f = 1; n = 100.; samples = 1_001 };
+    (* a horizon past the sweep cap: its cost grows with log n *)
+    P.Sweep { m = 2; k = 3; f = 1; n = 1e300; samples = 20 };
   ]
 
 let mixed_items = List.mapi (fun i req -> ((), i, req)) mixed_batch
@@ -445,7 +447,7 @@ let test_dispatch_failure_shapes () =
   List.iter
     (fun (i, where) ->
       check_bool
-        (Printf.sprintf "request %d: samples over the cap is invalid-input" i)
+        (Printf.sprintf "request %d: over a per-request cap is invalid-input" i)
         true
         (match error_tag (find i) with
         | Some t -> String.equal t "invalid-input"
@@ -456,7 +458,7 @@ let test_dispatch_failure_shapes () =
         (match error_where (find i) with
         | Some w -> String.equal w where
         | None -> false))
-    [ (12, "serve/simulate"); (13, "serve/sweep") ]
+    [ (12, "serve/simulate"); (13, "serve/sweep"); (14, "serve/sweep") ]
 
 (* Chaos on the serve path: with one more attempt than the worst-case
    fault count, every response is byte-identical to the fault-free run
@@ -506,9 +508,9 @@ let test_dispatch_cache_accounting () =
   check_bool "cache hits observed" true (stats.P.cache.P.hits > 0);
   check_bool "misses bounded by distinct bound keys" true
     (stats.P.cache.P.misses >= 3);
-  check_int "served both batches" 28 stats.P.served;
+  check_int "served both batches" 30 stats.P.served;
   check_int "two batches" 2 stats.P.batches;
-  check_int "max batch" 14 stats.P.max_batch;
+  check_int "max batch" 15 stats.P.max_batch;
   check_bool "pool settled everything" true
     (stats.P.pool.P.pending = 0
     && stats.P.pool.P.submitted = stats.P.pool.P.settled)
