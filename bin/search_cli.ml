@@ -236,28 +236,27 @@ let cert_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
 
 let recheck_run m k f file =
-  with_params m k f @@ fun p ->
-  let contents = read_file file in
-  match FS.Certificate_io.parse_string contents with
+  match FS.Certificate_io.parse_string (read_file file) with
   | Error msg ->
       Format.eprintf "cannot parse certificate: %s@." msg;
       exit_usage
   | Ok parsed -> (
-      match FS.Params.regime p with
-      | FS.Params.Ratio_one | FS.Params.Unsolvable ->
-          Format.eprintf "recheck: instance not in the searching regime@.";
-          exit_usage
-      | FS.Params.Searching -> (
-          let strat = FS.Mray_exponential.make p in
-          let turns = FS.Orc_cover.of_mray_group strat in
-          match FS.Certificate_io.recheck parsed ~turns with
-          | Ok () ->
-              Format.printf "certificate CONFIRMED against the (m=%d,k=%d,f=%d) \
-                             optimal strategy@." m k f;
-              exit_ok
-          | Error msg ->
-              Format.printf "certificate MISMATCH: %s@." msg;
-              exit_finding))
+      checked (fun () ->
+          FS.Problem.searching ~where:"recheck" ~m ~k ~f
+            ~horizon:parsed.FS.Certificate_io.n)
+      @@ fun problem ->
+      (* the searching regime always has rounds to project *)
+      let turns = Option.get (FS.Solve.orc_turns (FS.Solve.solve problem)) in
+      match FS.Certificate_io.recheck parsed ~turns with
+      | Ok () ->
+          Format.printf
+            "certificate CONFIRMED against the (m=%d,k=%d,f=%d) optimal \
+             strategy@."
+            m k f;
+          exit_ok
+      | Error msg ->
+          Format.printf "certificate MISMATCH: %s@." msg;
+          exit_finding)
 
 let recheck_cmd =
   let doc =
@@ -782,8 +781,9 @@ let lint_cmd =
     "Determinism & numeric-safety lint over lib/, bin/, bench/ and test/, \
      read from the .cmt/.cmti artefacts dune emitted for them (build \
      first: $(b,dune build @check)): the per-file rules, the typed \
-     interprocedural analyses, the hot-path allocation/blocking analyses \
-     and the exception-flow/leak/sim-hygiene analyses.  Exit 1 on any \
+     interprocedural analyses, the hot-path allocation/blocking analyses, \
+     the exception-flow/leak/sim-hygiene analyses and the export-use \
+     pass (examples/ and perfbench/ count as callers).  Exit 1 on any \
      finding not suppressed by lint.allow / lint.budget; exit 3 when a \
      source has no artefact or a stale one."
   in

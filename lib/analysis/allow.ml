@@ -57,21 +57,21 @@ let permits t ~rule ~file =
     (fun e -> (e.rule = "*" || String.equal e.rule rule) && String.equal e.path file)
     t.items
 
-let entries t = List.map (fun e -> (e.rule, e.path)) t.items
-let entries_located t = List.map (fun e -> (e.rule, e.path, e.line)) t.items
-
 (* An entry is stale when its rule was in scope for this run (selected
    by [--rules], or uncatalogued) and it matched no finding, kept or
    suppressed.  One definition for every
    entry family so the three staleness reports cannot drift. *)
 let stale t ~in_scope ~findings =
-  List.filter
-    (fun (rule, path, _line) ->
-      in_scope rule
-      && not
-           (List.exists
-              (fun f ->
-                (String.equal rule "*" || String.equal rule f.Finding.rule)
-                && String.equal path f.Finding.file)
-              findings))
-    (entries_located t)
+  List.filter_map
+    (fun { rule; path; line } ->
+      if
+        in_scope rule
+        && not
+             (List.exists
+                (fun f ->
+                  (String.equal rule "*" || String.equal rule f.Finding.rule)
+                  && String.equal path f.Finding.file)
+                findings)
+      then Some (rule, path, line)
+      else None)
+    t.items

@@ -16,12 +16,10 @@ type t
 
 val empty : t
 
-val parse : string -> (t, string) result
-(** Parse file contents.  Errors name the offending line. *)
-
 val load : string -> (t, string) result
 (** [load path] reads and parses [path]; a missing file is an empty
-    allowlist (so fresh checkouts lint strictly). *)
+    allowlist (so fresh checkouts lint strictly).  Parse errors name
+    the offending line. *)
 
 val parse_lines :
   (lineno:int -> string -> string list -> ('a, string) result) ->
@@ -41,18 +39,12 @@ val load_with :
 val permits : t -> rule:string -> file:string -> bool
 (** Is [(rule, file)] suppressed? *)
 
-val entries : t -> (string * string) list
-(** All (rule, file) pairs, in file order — for diagnostics. *)
-
-val entries_located : t -> (string * string * int) list
-(** Like {!entries} with each entry's [lint.allow] line number — the
-    stale-entry report points back at the line to delete. *)
-
 val stale :
   t ->
   in_scope:(string -> bool) ->
   findings:Finding.t list ->
   (string * string * int) list
 (** Entries whose rule satisfies [in_scope] yet matched no finding in
-    [findings] (pre-suppression): [(rule, path, line)].  The single
+    [findings] (pre-suppression): [(rule, path, line)], in file order;
+    the line points back at the entry to delete.  The single
     staleness definition shared by every entry family. *)

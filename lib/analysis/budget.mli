@@ -11,11 +11,9 @@ type t
 
 val empty : t
 
-val parse : string -> (t, string) result
-(** Parse file contents; the error carries [lint.budget:<line>]. *)
-
 val load : string -> (t, string) result
-(** [Ok empty] when the file does not exist; see {!Allow.load_with}. *)
+(** [Ok empty] when the file does not exist; see {!Allow.load_with}.
+    A parse error carries [lint.budget:<line>]. *)
 
 val find : t -> string -> int option
 (** Budget for a root, by display name. *)

@@ -7,8 +7,10 @@
    same way — a use spelled [Pool.async] types as the path
    [Search_exec.Pool.async], and the wrapper unit's alias table
    (harvested from the [search_exec] cmt dune generates) rewrites it to
-   ["Search_exec__Pool.async"], the def's own name.  Local [module X =
-   ...] aliases are resolved through the unit's own top-level items.
+   ["Search_exec__Pool.async"], the def's own name.  Local module
+   aliases — [module X = ...] at any depth and [let module X = ... in]
+   — are resolved first, by {!Cmt_loader.unalias}, the same resolver
+   the per-file rules use.
    References that do not reach a top-level entity (function arguments,
    let-bound locals) canonicalise to [None] and drop out: the graph is
    deliberately at top-level-definition granularity.
@@ -258,12 +260,15 @@ let summarize (u : Cmt_loader.unit_info) =
           (fun (i, c) -> if Ident.same i id then Some c else None)
           !locals
       in
-      let rec canon = function
+      let rec canon_resolved = function
         | Path.Pident id ->
             if Ident.global id then Some (Ident.name id) else lookup id
-        | Path.Pdot (p, s) -> Option.map (fun b -> b ^ "." ^ s) (canon p)
+        | Path.Pdot (p, s) ->
+            Option.map (fun b -> b ^ "." ^ s) (canon_resolved p)
         | Path.Papply _ | Path.Pextra_ty _ -> None
       in
+      let unalias = Cmt_loader.unalias u in
+      let canon p = canon_resolved (unalias p) in
       let aliases = ref [] in
       let cells = ref [] in
       let mutexes = ref [] in
@@ -817,7 +822,6 @@ let summarize (u : Cmt_loader.unit_info) =
         | Typedtree.Tmod_ident (p, _) -> (
             match (id, canon p) with
             | Some id, Some target ->
-                bind id target;
                 aliases := (prefix ^ "." ^ Ident.name id, target) :: !aliases
             | _ -> ())
         | Typedtree.Tmod_structure sub ->
@@ -993,5 +997,4 @@ let build summaries =
 
 let find_def t name = Hashtbl.find_opt t.defs name
 let is_entry t name = Hashtbl.mem t.entries name || Hashtbl.mem t.entries (strip_stdlib name)
-let find_cell t name = Hashtbl.find_opt t.cells name
 let mutex_defined t name = Hashtbl.mem t.mutex_locs name

@@ -131,7 +131,6 @@ val is_float_ty : Types.type_expr -> bool
 (** The type is [float] itself (no expansion of abbreviations). *)
 
 val find_def : t -> string -> def option
-val find_cell : t -> string -> cell option
 val is_entry : t -> string -> bool
 (** Whether [name] submits work to the pool: an [[@pool_entry]] def or
     [Domain.spawn] itself. *)

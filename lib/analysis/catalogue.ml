@@ -1,11 +1,11 @@
-(* The exhaustive rule catalogue across all four analysis families
+(* The exhaustive rule catalogue across every analysis family
    plus the driver's internal pseudo-rules.  Single source of truth
    for `--rules` selection and listings and for stale-allowlist
    scoping: a rule id emitted anywhere but absent here is a bug
    (pinned by a test), and an allowlist entry naming an uncatalogued
    rule is stale by definition. *)
 
-type family = Syntactic | Deep | Hotpath | Escape | Internal
+type family = Syntactic | Deep | Hotpath | Escape | Surface | Internal
 
 type entry = { id : string; family : family; doc : string }
 
@@ -14,6 +14,7 @@ let family_to_string = function
   | Deep -> "deep"
   | Hotpath -> "hotpath"
   | Escape -> "escape"
+  | Surface -> "surface"
   | Internal -> "internal"
 
 let typed_entries =
@@ -62,6 +63,16 @@ let typed_entries =
       doc = "real Unix socket/clock/sleep primitive reachable from the sim seam";
     };
     {
+      id = "dead-export";
+      family = Surface;
+      doc = "lib/ .mli value that no other compilation unit references";
+    };
+    {
+      id = "test-only-export";
+      family = Surface;
+      doc = "lib/ .mli value that only test/ units reference";
+    };
+    {
       id = "cmt-load";
       family = Internal;
       doc = "cmt artefact that cannot be loaded (rebuild and rerun)";
@@ -90,7 +101,7 @@ let find id = List.find_opt (fun e -> String.equal e.id id) all
 let family_equal (a : family) b =
   match (a, b) with
   | Syntactic, Syntactic | Deep, Deep | Hotpath, Hotpath
-  | Escape, Escape | Internal, Internal ->
+  | Escape, Escape | Surface, Surface | Internal, Internal ->
       true
   | _ -> false
 

@@ -8,6 +8,7 @@ type family =
   | Deep  (** taint / lockset / lock-order *)
   | Hotpath  (** allocation budgets / blocking *)
   | Escape  (** exception flow / leaks / sim hygiene *)
+  | Surface  (** exports with no caller, or only test callers *)
   | Internal  (** analysis-failure pseudo-rules (exit code 3) *)
 
 type entry = { id : string; family : family; doc : string }

@@ -156,7 +156,8 @@ let freshness ~root ~sources units =
 let rec exports_of_signature prefix (sg : Types.signature) =
   List.concat_map
     (function
-      | Types.Sig_value (id, _, _) -> [ prefix ^ Ident.name id ]
+      | Types.Sig_value (id, vd, _) ->
+          [ (prefix ^ Ident.name id, vd.Types.val_loc) ]
       | Types.Sig_module (id, _, md, _, _) -> (
           match md.Types.md_type with
           | Types.Mty_signature sub ->
@@ -169,6 +170,51 @@ let exports u =
   Option.map
     (fun sg ->
       ( u.modname,
-        List.sort String.compare
+        List.sort
+          (fun (a, _) (b, _) -> String.compare a b)
           (exports_of_signature "" sg.Typedtree.sig_type) ))
     u.signature
+
+(* Module aliases are collected by ident, whatever their scope: stamps
+   are unique within a unit, so one flat table serves the top level,
+   nested structures and [let module] bodies alike. *)
+let unalias u =
+  let table = Ident.Tbl.create 8 in
+  let rec target (me : Typedtree.module_expr) =
+    match me.Typedtree.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> Some p
+    | Typedtree.Tmod_constraint (inner, _, _, _) -> target inner
+    | _ -> None
+  in
+  let add id me =
+    match (id, target me) with
+    | Some id, Some p -> Ident.Tbl.replace table id p
+    | _ -> ()
+  in
+  let super = Tast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      module_binding =
+        (fun self mb ->
+          add mb.Typedtree.mb_id mb.Typedtree.mb_expr;
+          super.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.Typedtree.exp_desc with
+          | Typedtree.Texp_letmodule (id, _, _, me, _) -> add id me
+          | _ -> ());
+          super.expr self e);
+    }
+  in
+  Option.iter (it.structure it) u.structure;
+  let rec go fuel (p : Path.t) =
+    match p with
+    | Path.Pident id -> (
+        match Ident.Tbl.find_opt table id with
+        | Some p' when fuel > 0 -> go (fuel - 1) p'
+        | _ -> p)
+    | Path.Pdot (q, s) -> Path.Pdot (go fuel q, s)
+    | Path.Papply _ | Path.Pextra_ty _ -> p
+  in
+  go 16

@@ -50,9 +50,20 @@ val freshness :
     and one [cmt-stale] finding per source whose recorded digest differs
     from the file under [root]. *)
 
-val exports : unit_info -> (string * string list) option
-(** [(modname, exported dotted value names)] of an interface unit: the
-    type-checked signature's [Sig_value] names, recursing into plain
+val exports : unit_info -> (string * (string * Location.t) list) option
+(** [(modname, exported values)] of an interface unit: each dotted
+    value name with the location of its [val] in the [.mli], from the
+    type-checked signature's [Sig_value]s, recursing into plain
     submodule signatures.  Module aliases and abstract module types are
     skipped — an under-approximation, which only makes the
-    exception-flow pass quieter.  [None] for implementations. *)
+    exception-flow pass and [dead-export]/[test-only-export] quieter.
+    [None] for implementations. *)
+
+val unalias : unit_info -> Path.t -> Path.t
+(** The unit's module-alias resolver, built in one walk of its
+    implementation: every [module X = P] (at any depth) and every
+    [let module X = P in ...] is substituted by its target, repeatedly,
+    so [U.gettimeofday] after [module U = Unix] resolves to
+    [Unix.gettimeofday].  Both front ends — the per-file {!Rules} and
+    {!Callgraph.summarize} — resolve every path through it.  The
+    identity for interface units. *)

@@ -19,6 +19,16 @@ let internal_rule_ids = Catalogue.ids_of Catalogue.Internal
 
 let default_dirs = [ "bench"; "bin"; "lib"; "test" ]
 
+(* Trees outside the linted roots that link the public libraries: their
+   units join the call graph so their references count as callers of a
+   [lib/] export, but they are not linted and no rule reports in them. *)
+let reference_dirs = [ "examples"; "perfbench" ]
+
+let in_reference_dir file =
+  List.exists
+    (fun dir -> String.starts_with ~prefix:(dir ^ "/") file)
+    reference_dirs
+
 let load_allow ~root = Allow.load (Filename.concat root "lint.allow")
 let load_budget ~root = Budget.load (Filename.concat root "lint.budget")
 
@@ -47,9 +57,11 @@ let selection = function
 let analyse ~pool ~allow ~budget ~dirs ~root =
   let build_dir = Cmt_loader.build_dir ~root in
   let sources = Cmt_loader.discover_sources ~root ~dirs in
+  (* linted units first, so they win {!Cmt_loader.dedup} *)
   let loaded =
     Par.parallel_map pool
-      (Cmt_loader.discover ~build_dir ~dirs)
+      (Cmt_loader.discover ~build_dir ~dirs
+      @ Cmt_loader.discover ~build_dir ~dirs:reference_dirs)
       ~f:(Cmt_loader.load ~build_dir)
   in
   let units = Cmt_loader.dedup (List.filter_map Result.to_option loaded) in
@@ -61,6 +73,9 @@ let analyse ~pool ~allow ~budget ~dirs ~root =
   in
   let impls =
     List.filter (fun u -> Option.is_none u.Cmt_loader.signature) units
+  in
+  let linted u =
+    not (in_reference_dir (Option.value u.Cmt_loader.source ~default:""))
   in
   let graph =
     Callgraph.build (Par.parallel_map pool impls ~f:Callgraph.summarize)
@@ -78,11 +93,12 @@ let analyse ~pool ~allow ~budget ~dirs ~root =
         Lockset.findings graph;
         Hotpath.findings ~budget graph;
         Escape.findings ~exports graph;
+        Callers.findings ~exports graph;
       ]
   in
-  ( findings,
+  ( List.filter (fun f -> not (in_reference_dir f.Finding.file)) findings,
     List.length sources,
-    List.length impls,
+    List.length (List.filter linted impls),
     Hotpath.stale_budget ~budget graph )
 
 let run ?jobs ?rules ?(dirs = default_dirs) ?(allow = Allow.empty)

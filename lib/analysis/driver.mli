@@ -20,9 +20,6 @@ type outcome = {
           root (empty unless [hotpath-alloc] is selected) *)
 }
 
-val default_dirs : string list
-(** [["bench"; "bin"; "lib"; "test"]] — the linted roots. *)
-
 val load_allow : root:string -> (Allow.t, string) result
 (** Read [root/lint.allow] (missing file = empty allowlist). *)
 
@@ -40,11 +37,15 @@ val run :
   unit ->
   outcome
 (** Lint every [.ml]/[.mli] under [root/dir] for [dir] in [dirs]
-    (default {!default_dirs}) through the typed artefacts dune emitted
-    for them ({!Cmt_loader.build_dir}): the per-file {!Rules}, the
-    interprocedural family ({!Taint} + {!Lockset}), the hot-path family
-    ({!Hotpath}, checked against [budget]) and the escape family
-    ({!Escape}, with [.cmti] export sets deciding what is public).  A
+    (default [bench], [bin], [lib], [test]) through the typed artefacts
+    dune emitted for them ({!Cmt_loader.build_dir}): the per-file
+    {!Rules}, the interprocedural family ({!Taint} + {!Lockset}), the
+    hot-path family ({!Hotpath}, checked against [budget]), the escape
+    family ({!Escape}, with [.cmti] export sets deciding what is public)
+    and the export-use pass ({!Callers}).  The units under [examples/]
+    and [perfbench/] join the call graph as reference-only roots: their
+    references count as callers of [lib/] exports, but they are not
+    linted and no finding is reported in them.  A
     source with no artefact, or one compiled from other bytes, is a
     [cmt-missing] / [cmt-stale] finding.  [rules] restricts the report
     and the stale-entry scope to the given catalogue ids
@@ -66,8 +67,8 @@ val render_text : outcome -> string
 
 val render_json : outcome -> string
 (** [{"files": .., "units": .., "suppressed": .., "findings": [..],
-    "stale": [..]}], pretty, trailing newline; findings round-trip
-    through {!Finding.of_json}. *)
+    "stale": [..]}], pretty, trailing newline; each finding is
+    {!Finding.to_json}. *)
 
 val render_github : outcome -> string
 (** GitHub Actions workflow commands: one

@@ -46,8 +46,6 @@
 
 module SM = Map.Make (String)
 
-let rule_ids = [ "escape-exn"; "escape-leak"; "escape-realio" ]
-
 (* ------------------------------------------------------------------ *)
 (* exception flow                                                      *)
 
@@ -308,9 +306,9 @@ let realio_findings (g : Callgraph.t) =
 let findings ~exports (g : Callgraph.t) =
   let export_tbl = Hashtbl.create 64 in
   List.iter
-    (fun (unit, names) ->
+    (fun (unit, values) ->
       if not (Hashtbl.mem export_tbl unit) then
-        Hashtbl.add export_tbl unit names)
+        Hashtbl.add export_tbl unit (List.map fst values))
     exports;
   let may = compute_may g in
   exn_findings ~exports:export_tbl may g

@@ -39,11 +39,6 @@ let compare a b =
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | _ -> None
-
 let to_json t =
   Json.Assoc
     ([
@@ -59,35 +54,6 @@ let to_json t =
     | None -> []
     | Some s -> [ ("suggestion", Json.String s) ])
 
-let of_json j =
-  let str name =
-    match Option.bind (Json.member name j) Json.to_string_value with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-  in
-  let int name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* rule = str "rule" in
-  let* sev = str "severity" in
-  let* severity =
-    match severity_of_string sev with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "unknown severity %S" sev)
-  in
-  let* file = str "file" in
-  let* line = int "line" in
-  let* col = int "col" in
-  let* message = str "message" in
-  let suggestion = Option.bind (Json.member "suggestion" j) Json.to_string_value in
-  Ok { rule; severity; file; line; col; message; suggestion }
-
-let pp ppf t =
-  Format.fprintf ppf "%s:%d:%d: [%s] %s" t.file t.line t.col t.rule t.message
-
 (* GitHub Actions workflow-command data escaping (the documented
    %-encoding).  One escaper for every renderer that emits ::error /
    ::warning lines, so a finding message with '%' or newlines cannot
@@ -102,22 +68,4 @@ let github_escape s =
       | '\n' -> Buffer.add_string buf "%0A"
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.contents buf
-
-let github_unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if i + 2 < n && s.[i] = '%' then (
-        match String.sub s i 3 with
-        | "%25" -> Buffer.add_char buf '%'; go (i + 3)
-        | "%0D" -> Buffer.add_char buf '\r'; go (i + 3)
-        | "%0A" -> Buffer.add_char buf '\n'; go (i + 3)
-        | _ -> Buffer.add_char buf s.[i]; go (i + 1))
-      else (
-        Buffer.add_char buf s.[i];
-        go (i + 1))
-  in
-  go 0;
   Buffer.contents buf

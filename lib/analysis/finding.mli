@@ -3,7 +3,7 @@
     Findings are the linter's only currency: rules produce them, the
     allowlist filters them, the renderers ({!Driver.render_text},
     {!Driver.render_json}) print them.  A finding is a plain record so
-    that the JSON round-trip is exact and the sort order is total —
+    that its JSON carries every field and the sort order is total —
     both are load-bearing for the determinism contract (`--jobs 1` and
     `--jobs 4` must emit byte-identical reports). *)
 
@@ -34,19 +34,10 @@ val compare : t -> t -> int
     discovery or scheduling order. *)
 
 val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
 
 val to_json : t -> Search_numerics.Json.t
-val of_json : Search_numerics.Json.t -> (t, string) result
-(** Exact inverses of each other. *)
-
-val pp : Format.formatter -> t -> unit
-(** [file:line:col: [rule] message] on one line. *)
 
 val github_escape : string -> string
 (** The GitHub Actions workflow-command data encoding ([%] → [%25],
     [CR] → [%0D], [LF] → [%0A]) — the one escaper every [--format
     github] renderer goes through. *)
-
-val github_unescape : string -> string
-(** Exact inverse of {!github_escape} on its image. *)

@@ -3,10 +3,6 @@
     from [[@event_loop]] roots ([hotpath-blocking]), with witness call
     chains.  See the implementation header for the exact contracts. *)
 
-val blocking_names : string list
-(** Display names of the primitives the liveness rule considers
-    blocking ([Unix.sleepf], [Mutex.lock], [Pool.await], ...). *)
-
 val findings : budget:Budget.t -> Callgraph.t -> Finding.t list
 (** Both rule families, roots in sorted def order; byte-identical at
     any job count. *)

@@ -15,16 +15,20 @@ let in_lib = in_dir "lib"
 let not_in_test path = not (in_dir "test" path)
 let everywhere _ = true
 
-(* Matching is on the resolved path; messages quote the spelling. *)
-let resolved p = Callgraph.strip_stdlib (Path.name p)
+(* Matching is on the resolved path — module aliases substituted by
+   the unit's {!Cmt_loader.unalias} [un], one leading [Stdlib.]
+   stripped; messages quote the spelling. *)
+let resolved un p = Callgraph.strip_stdlib (Path.name (un p))
 let spelled (lid : Longident.t Location.loc) =
   String.concat "." (Longident.flatten lid.txt)
 
 (* The name of a path rooted at [Stdlib] itself — a local [compare] or
    [( = )] is a [Pident] and never matches. *)
-let stdlib_name p =
-  let n = Path.name p in
-  if String.starts_with ~prefix:"Stdlib." n then Some (resolved p) else None
+let stdlib_name un p =
+  let n = Path.name (un p) in
+  if String.starts_with ~prefix:"Stdlib." n then
+    Some (Callgraph.strip_stdlib n)
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* registry                                                            *)
@@ -183,20 +187,21 @@ let safe_calls =
     "Array.dim";
   ]
 
-let rec safe_operand e =
+let rec safe_operand un e =
   match e.exp_desc with
   | Texp_constant
       ( Const_int _ | Const_int32 _ | Const_int64 _ | Const_nativeint _
       | Const_char _ | Const_string _ ) ->
       true
   | Texp_construct ({ txt = Lident "::"; _ }, _, [ hd; tl ]) ->
-      safe_operand hd && safe_operand tl
-  | Texp_construct ({ txt = Lident "Some"; _ }, _, [ arg ]) -> safe_operand arg
+      safe_operand un hd && safe_operand un tl
+  | Texp_construct ({ txt = Lident "Some"; _ }, _, [ arg ]) ->
+      safe_operand un arg
   | Texp_construct (_, _, []) -> true (* (), [], true, None, Covered, ... *)
   | Texp_variant (_, None) -> true
-  | Texp_tuple es -> List.for_all safe_operand es
+  | Texp_tuple es -> List.for_all (safe_operand un) es
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
-      List.mem (resolved p) safe_calls
+      List.mem (resolved un p) safe_calls
   | _ -> false
 
 let floatish e = Callgraph.is_float_ty e.exp_type
@@ -204,21 +209,23 @@ let floatish e = Callgraph.is_float_ty e.exp_type
 (* Compound structural operands: records, tuples, non-trivial
    constructor applications — ordering or equality on these invokes
    the polymorphic runtime walk. *)
-let compound_literal e =
+let compound_literal un e =
   match e.exp_desc with
   | Texp_tuple _ | Texp_record _ | Texp_array _ -> true
-  | Texp_construct (_, _, _ :: _) -> not (safe_operand e)
+  | Texp_construct (_, _, _ :: _) -> not (safe_operand un e)
   | _ -> false
 
 let eq_op = function "=" | "<>" | "==" | "!=" -> true | _ -> false
 let ord_op = function "<" | "<=" | ">" | ">=" -> true | _ -> false
 let cmp_op op = eq_op op || ord_op op || op = "min" || op = "max"
 
-let compare_apply ~strict op a b =
+let compare_apply ~un ~strict op a b =
   if eq_op op then
     let hazard =
-      if strict then not (safe_operand a || safe_operand b)
-      else floatish a || floatish b || compound_literal a || compound_literal b
+      if strict then not (safe_operand un a || safe_operand un b)
+      else
+        floatish a || floatish b || compound_literal un a
+        || compound_literal un b
     in
     if hazard then
       Some
@@ -227,7 +234,7 @@ let compare_apply ~strict op a b =
           "use a typed equality (Float.equal, Int.equal, String.equal, \
            List.equal ...) or pattern matching" )
     else None
-  else if ord_op op && (compound_literal a || compound_literal b) then
+  else if ord_op op && (compound_literal un a || compound_literal un b) then
     Some
       ( Printf.sprintf "polymorphic ordering (%s) on compound values" op,
         "compare fields explicitly with typed comparators" )
@@ -237,8 +244,8 @@ let compare_apply ~strict op a b =
         "use Float.min / Float.max (NaN-aware)" )
   else None
 
-let compare_ident ~strict p lid =
-  match stdlib_name p with
+let compare_ident ~un ~strict p lid =
+  match stdlib_name un p with
   | Some "compare" ->
       Some
         ( Printf.sprintf "polymorphic %s (structural, NaN-hostile)"
@@ -308,10 +315,10 @@ let wildcard_arms ~guarded arms =
 (* ------------------------------------------------------------------ *)
 (* global-mutable-state                                                *)
 
-let mutable_ctor e =
+let mutable_ctor un e =
   match e.exp_desc with
   | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, _) -> (
-      match resolved p with
+      match resolved un p with
       | "ref" | "Hashtbl.create" | "Queue.create" | "Stack.create"
       | "Buffer.create" | "Dynarray.create" | "Array.make"
       | "Array.create_float" | "Array.init" | "Atomic.make" ->
@@ -319,7 +326,7 @@ let mutable_ctor e =
       | _ -> None)
   | _ -> None
 
-let global_mutable
+let global_mutable un
     (emit : string -> ?suggestion:string -> loc:Location.t -> string -> unit)
     (st : structure) =
   List.iter
@@ -337,7 +344,7 @@ let global_mutable
                     (Printf.sprintf
                        "top-level mutable state (%s) is shared by every domain"
                        ctor))
-                (mutable_ctor vb.vb_expr))
+                (mutable_ctor un vb.vb_expr))
             bindings
       | _ -> ())
     st.str_items
@@ -353,15 +360,16 @@ let check ~file (u : Cmt_loader.unit_info) =
       (finding ~file ?suggestion ~loc id message)
   in
   let strict = in_lib file in
+  let un = Cmt_loader.unalias u in
   let ident p (lid : Longident.t Location.loc) =
     List.iter
       (fun (id, message, suggestion) ->
         emit id ~loc:lid.loc ~suggestion message)
-      (ident_hits (resolved p) (spelled lid));
+      (ident_hits (resolved un p) (spelled lid));
     Option.iter
       (fun (message, suggestion) ->
         emit "poly-compare" ~loc:lid.loc ~suggestion message)
-      (compare_ident ~strict p lid)
+      (compare_ident ~un ~strict p lid)
   in
   let wildcards ~guarded arms =
     List.iter
@@ -375,13 +383,13 @@ let check ~file (u : Cmt_loader.unit_info) =
   let expr self e =
     match e.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, args)
-      when Option.fold ~none:false ~some:cmp_op (stdlib_name p) ->
+      when Option.fold ~none:false ~some:cmp_op (stdlib_name un p) ->
         (match args with
         | [ (_, Some a); (_, Some b) ] ->
             Option.iter
               (fun (message, suggestion) ->
                 emit "poly-compare" ~loc:lid.loc ~suggestion message)
-              (compare_apply ~strict (resolved p) a b)
+              (compare_apply ~un ~strict (resolved un p) a b)
         | _ -> ());
         (* the operator ident itself is handled here: recurse only into
            the arguments *)
@@ -395,7 +403,7 @@ let check ~file (u : Cmt_loader.unit_info) =
             ( { exp_desc = Texp_ident (p, lid, _); _ },
               [ _; (_, Some { exp_desc = Texp_constant (Const_float lit); _ }) ]
             )
-          when String.equal (Path.name p) "Stdlib./." -> (
+          when String.equal (Path.name (un p)) "Stdlib./." -> (
             match float_of_string_opt lit with
             | Some z when Float.equal z 0. ->
                 emit "float-hygiene" ~loc:lid.loc
@@ -426,7 +434,7 @@ let check ~file (u : Cmt_loader.unit_info) =
   Option.iter
     (fun st ->
       it.structure it st;
-      global_mutable emit st)
+      global_mutable un emit st)
     u.structure;
   Option.iter (it.signature it) u.signature;
   !acc

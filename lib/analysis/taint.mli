@@ -11,8 +11,5 @@
     allowlist entry that suppresses them registers as used — but their
     callers stay clean. *)
 
-val is_source : string -> bool
-(** Whether a canonical name is a nondeterminism source. *)
-
 val findings : audited:(string -> bool) -> Callgraph.t -> Finding.t list
 (** Sorted by graph def order; the driver re-sorts and dedups. *)

@@ -124,13 +124,3 @@ let of_json json =
   in
   let* () = validate t in
   Ok t
-
-let pp ppf t =
-  Format.fprintf ppf
-    "case %d: m=%d k=%d f=%d horizon=%g alpha_scale=%g lambda_frac=%g \
-     targets=[%a] turn_seed=%d"
-    t.id t.m t.k t.f t.horizon t.alpha_scale t.lambda_frac
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-       (fun ppf (ray, dist) -> Format.fprintf ppf "(%d, %g)" ray dist))
-    t.targets t.turn_seed

@@ -43,5 +43,3 @@ val to_json : t -> Search_numerics.Json.t
 val of_json : Search_numerics.Json.t -> (t, string) result
 (** Inverse of {!to_json} (the JSON float printer round-trips exactly);
     also {!validate}s. *)
-
-val pp : Format.formatter -> t -> unit

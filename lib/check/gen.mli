@@ -8,11 +8,6 @@
     [turn_seed], making every derived object a function of the case
     record alone. *)
 
-val case : id:int -> Search_numerics.Prng.t -> Case.t
-(** One random searching-regime case from a dedicated generator.  The
-    generator keeps [k <= 6] so the invariants can enumerate all
-    [C(k, f)] fault assignments exhaustively. *)
-
 val cases : seed:int -> count:int -> Case.t list
 (** [count] cases with ids [0 .. count-1], case [i] drawn from leaf [i]
     of the split tree rooted at [seed]. *)
@@ -20,13 +15,6 @@ val cases : seed:int -> count:int -> Case.t list
 val alpha : Case.t -> float
 (** The exponential-strategy base the case prescribes:
     [alpha_star *. alpha_scale]. *)
-
-val turning : Case.t -> robot:int -> Search_strategy.Turning.t
-(** A random-but-valid turning sequence for one robot: a geometric ramp
-    at the case's base with multiplicative noise in [[0.8, 1.25]], drawn
-    purely from [(turn_seed, robot, index)] — deterministic, memoisable,
-    and possibly non-monotone (intentionally: the normalisation
-    invariants need un-normalised inputs). *)
 
 val turning_group : Case.t -> Search_strategy.Turning.t array
 (** One sequence per robot, staggered in scale across the group. *)

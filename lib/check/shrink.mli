@@ -7,11 +7,6 @@
     budget runs out.  The result is the case that gets written to the
     corpus: small enough to read, still failing, still replayable. *)
 
-val candidates : Case.t -> Case.t list
-(** Valid one-step reductions of the case, most aggressive first.  Every
-    returned case satisfies {!Case.valid}; the list is empty when the
-    case is already minimal. *)
-
 val minimize : still_fails:(Case.t -> bool) -> Case.t -> Case.t
 (** Greedy descent: repeatedly replace the case by its first failing
     candidate.  At most 500 [still_fails] evaluations; deterministic. *)

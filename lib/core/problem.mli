@@ -47,8 +47,6 @@ val check_samples : where:string -> int -> unit
     @raise Search_numerics.Search_error.Error ([Invalid_input] at
       [where]) otherwise. *)
 
-val regime : t -> Search_bounds.Params.regime
-
 val covering : t -> Search_covering.Assigned.setting * int
 (** The covering setting and demand of the instance's lower-bound
     certificate: the ±-cover with demand [s = 2(f+1) - k] on the line

@@ -83,13 +83,3 @@ let to_markdown t =
       p "```"
   | None -> ());
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%a: bound %.6f, simulated %.6f, exact %.6f%s" Problem.pp t.problem
-    t.bound t.simulated_ratio t.exact_sup
-    (match t.certificate_below with
-    | Some (Certificate.Refuted_gap _ | Certificate.Refuted_potential _) ->
-        ", sub-bound claim refuted"
-    | Some _ -> ", sub-bound claim NOT refuted"
-    | None -> "")

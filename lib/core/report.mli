@@ -29,6 +29,3 @@ val build : ?claimed_fraction:float -> Problem.t -> t
 
 val to_markdown : t -> string
 (** A self-contained markdown document. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact one-paragraph rendering. *)

@@ -88,15 +88,3 @@ let loads intervals ~robots =
   let l = Array.make robots 0. in
   List.iter (fun iv -> l.(iv.robot) <- l.(iv.robot) +. iv.turn) intervals;
   l
-
-let frontier_multiset ~demand intervals =
-  List.fold_left
-    (fun ms iv ->
-      match ms with
-      | [] -> assert false
-      | _ :: rest -> insert_sorted iv.turn rest)
-    (List.init demand (fun _ -> 1.))
-    intervals
-
-let pp_interval ppf { robot; left; turn } =
-  Format.fprintf ppf "r%d:(%g, %g]" robot left turn

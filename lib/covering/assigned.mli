@@ -53,9 +53,3 @@ val build :
 
 val loads : interval list -> robots:int -> float array
 (** Final per-robot loads (sums of used turning points). *)
-
-val frontier_multiset : demand:int -> interval list -> float list
-(** The covering multiset [A(P)] after the whole list: sorted ascending,
-    [a_demand <= ... <= a_1], starting from [demand] copies of 1. *)
-
-val pp_interval : Format.formatter -> interval -> unit

@@ -27,16 +27,10 @@ type parsed = {
   kind : kind;
 }
 
-val export :
-  setting:Assigned.setting -> k:int -> demand:int -> lambda:float -> n:float
-  -> Certificate.verdict -> Search_numerics.Json.t
-(** Serialise a verdict with its run parameters. *)
-
 val export_string :
   ?pretty:bool -> setting:Assigned.setting -> k:int -> demand:int
   -> lambda:float -> n:float -> Certificate.verdict -> string
 
-val parse : Search_numerics.Json.t -> (parsed, string) result
 val parse_string : string -> (parsed, string) result
 
 val recheck :

@@ -28,9 +28,6 @@ val entries : t -> (string * float) list
 val total : t -> float
 (** Sum of all recorded durations. *)
 
-val to_json : t -> Search_numerics.Json.t
-(** This recorder's entries in the file schema. *)
-
 val write : t -> path:string -> unit
 (** Merge into the JSON file at [path] (see above); creates it — but not
     its directory — when absent.  An unparsable existing file is

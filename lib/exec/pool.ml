@@ -41,7 +41,6 @@ and 'a promise = { pool : t; mutable result : 'a state }
 and hidden = Hide : 'a promise -> hidden
 
 let default_jobs () = Domain.recommended_domain_count ()
-let jobs t = t.jobs
 
 let worker t =
   let running = ref true in

@@ -30,9 +30,6 @@ val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains (default
     {!default_jobs}).  Requires [jobs >= 1]. *)
 
-val jobs : t -> int
-(** The pool size the pool was created with (counting the caller). *)
-
 val async : t -> (unit -> 'a) -> 'a promise
 (** Submit a task.  Tasks may themselves call [async]/[await] on the
     same pool (nested fan-out).

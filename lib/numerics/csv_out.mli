@@ -5,9 +5,6 @@
     fields containing commas, quotes or newlines are quoted, quotes
     doubled. *)
 
-val escape_field : string -> string
-(** The quoted/escaped form of one field. *)
-
 val write : path:string -> header:string list -> rows:string list list -> unit
 (** Writes header + rows to [path], creating parent directories as
     needed (one level).  Every row must match the header arity.

@@ -43,7 +43,3 @@ let compare_by_left a b =
     let kind_rank = function Closed -> 0 | Open -> 1 in
     let c = Int.compare (kind_rank a.lo_kind) (kind_rank b.lo_kind) in
     if c <> 0 then c else Float.compare a.hi b.hi
-
-let pp ppf t =
-  let open_br = match t.lo_kind with Closed -> "[" | Open -> "(" in
-  Format.fprintf ppf "%s%g, %g]" open_br t.lo t.hi

@@ -21,9 +21,6 @@ val closed : float -> float -> t
 val left_open : float -> float -> t
 (** [left_open lo hi] is [(lo, hi]].  Requires [lo < hi]. *)
 
-val make : bound_kind -> float -> float -> t
-(** General constructor; validates as above. *)
-
 val mem : float -> t -> bool
 (** Membership respecting the left-end kind. *)
 
@@ -46,5 +43,3 @@ val truncate_left : t -> float -> t option
 val compare_by_left : t -> t -> int
 (** Sort order used to build prefixes: by left endpoint, an open bound at x
     sorting {e after} a closed bound at x; ties broken by right endpoint. *)
-
-val pp : Format.formatter -> t -> unit

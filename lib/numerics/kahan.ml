@@ -13,6 +13,3 @@ let add { total; compensation } x =
   { total = t; compensation = c }
 
 let value { total; compensation } = total +. compensation
-let of_list xs = List.fold_left add zero xs
-let sum xs = value (of_list xs)
-let sum_array a = value (Array.fold_left add zero a)

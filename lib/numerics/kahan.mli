@@ -16,12 +16,3 @@ val add : t -> float -> t
 
 val value : t -> float
 (** Current value of the sum (principal part plus compensation). *)
-
-val of_list : float list -> t
-(** [of_list xs] sums the list left to right. *)
-
-val sum : float list -> float
-(** [sum xs = value (of_list xs)]. *)
-
-val sum_array : float array -> float
-(** Compensated sum of an array. *)

@@ -64,18 +64,6 @@ let unfold ~init step =
           ensure i;
           Hashtbl.find values i))
 
-let prefix t n = List.init n (fun i -> get t (i + 1))
-let map f t = of_fun (fun i -> f (get t i))
-
-let find_first p t ~limit =
-  let rec loop i =
-    if i > limit then None
-    else
-      let v = get t i in
-      if p v then Some (i, v) else loop (i + 1)
-  in
-  loop 1
-
 let partial_sums t =
   unfold ~init:(1, Kahan.zero) (fun (i, acc) ->
       let acc = Kahan.add acc (get t i) in

@@ -36,14 +36,6 @@ val get : 'a t -> int -> 'a
 (** [get s i] is the i-th element (1-based).
     @raise Invalid_argument on [i < 1]. *)
 
-val prefix : 'a t -> int -> 'a list
-(** First [n] elements. *)
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val find_first : ('a -> bool) -> 'a t -> limit:int -> (int * 'a) option
-(** Leftmost index [<= limit] whose element satisfies the predicate. *)
-
 val partial_sums : float t -> float t
 (** [partial_sums s] has i-th element [s_1 + ... + s_i], computed with
     compensated summation (the loads of the paper's proofs). *)

@@ -5,13 +5,6 @@
     minimum at [α* = (q/(q-k))^(1/k)] (appendix of the paper); we verify
     this numerically by minimising the simulated ratio. *)
 
-val golden :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float
-  -> float * float
-(** [golden ~f lo hi] minimises the unimodal [f] on [[lo, hi]] by
-    golden-section search, returning [(argmin, min)].  [tol] is the relative
-    x-tolerance (default [1e-10]). *)
-
 val grid_then_golden :
   ?samples:int -> ?tol:float -> f:(float -> float) -> float -> float
   -> float * float

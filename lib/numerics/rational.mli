@@ -23,7 +23,6 @@ val make : int -> int -> t
 (** [make num den] is the normalised [num/den].
     @raise Division_by_zero_rational if [den = 0]. *)
 
-val of_int : int -> t
 val zero : t
 val one : t
 

@@ -101,20 +101,3 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
     done;
     match !result with Some x -> x | None -> !b
   end
-
-let expand_bracket ?(grow = 1.6) ?(max_iter = 60) ~f lo hi =
-  if lo >= hi then None
-  else
-    let rec loop lo hi flo fhi iter =
-      if flo *. fhi <= 0. then Some (lo, hi)
-      else if iter >= max_iter then None
-      else
-        let width = (hi -. lo) *. grow in
-        if Float.abs flo < Float.abs fhi then
-          let lo' = lo -. width in
-          loop lo' hi (f lo') fhi (iter + 1)
-        else
-          let hi' = hi +. width in
-          loop lo hi' flo (f hi') (iter + 1)
-    in
-    loop lo hi (f lo) (f hi) 0

@@ -21,10 +21,3 @@ val brent :
     fewer evaluations.
 
     @raise Search_error.Error ([Invalid_input]) if [f lo *. f hi > 0.]. *)
-
-val expand_bracket :
-  ?grow:float -> ?max_iter:int -> f:(float -> float) -> float -> float
-  -> (float * float) option
-(** [expand_bracket ~f lo hi] grows the interval geometrically (factor
-    [grow], default 1.6) until it brackets a sign change of [f], or gives up
-    after [max_iter] (default 60) expansions. *)

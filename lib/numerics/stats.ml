@@ -1,38 +1,16 @@
-type t = {
-  count : int;
-  mean : float;
-  m2 : float; (* Welford's sum of squared deviations *)
-  min_v : float;
-  max_v : float;
-}
+type t = { count : int; mean : float }
 
-let empty = { count = 0; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
+let empty = { count = 0; mean = 0. }
 
 let add t x =
   let count = t.count + 1 in
-  let delta = x -. t.mean in
-  let mean = t.mean +. (delta /. float_of_int count) in
-  let m2 = t.m2 +. (delta *. (x -. mean)) in
-  { count; mean; m2; min_v = Float.min t.min_v x; max_v = Float.max t.max_v x }
+  { count; mean = t.mean +. ((x -. t.mean) /. float_of_int count) }
 
 let count t = t.count
 
-let nonempty name t =
-  if t.count = 0 then invalid_arg ("Stats." ^ name ^ ": empty summary")
-
 let mean t =
-  nonempty "mean" t;
+  if t.count = 0 then invalid_arg "Stats.mean: empty summary";
   t.mean
-
-let min t =
-  nonempty "min" t;
-  t.min_v
-
-let max t =
-  nonempty "max" t;
-  t.max_v
-
-let stddev t = if t.count < 2 then 0. else sqrt (t.m2 /. float_of_int t.count)
 
 type 'a sup = { sup_v : float; witness : 'a option }
 

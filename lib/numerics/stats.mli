@@ -14,13 +14,6 @@ val count : t -> int
 val mean : t -> float
 (** @raise Invalid_argument on an empty summary. *)
 
-val min : t -> float
-val max : t -> float
-(** @raise Invalid_argument on an empty summary. *)
-
-val stddev : t -> float
-(** Population standard deviation (Welford).  0 for fewer than 2 samples. *)
-
 type 'a sup
 (** Running supremum of a keyed value, remembering the argmax key. *)
 

@@ -7,13 +7,6 @@ let approx_eq ?(eps = default_eps) a b =
     if scale < eps then Float.abs (a -. b) <= eps
     else Float.abs (a -. b) <= eps *. scale
 
-let approx_le ?(eps = default_eps) a b = a <= b || approx_eq ~eps a b
-let approx_ge ?(eps = default_eps) a b = a >= b || approx_eq ~eps a b
-
-let clamp ~lo ~hi x =
-  assert (lo <= hi);
-  if x < lo then lo else if x > hi then hi else x
-
 let is_finite x = Float.is_finite x
 
 let log_pow b e =
@@ -21,7 +14,6 @@ let log_pow b e =
   if Float.equal e 0. then 0. (* continuous extension: b^0 = 1, including 0^0 *)
   else e *. log b
 
-let pow b e = exp (log_pow b e)
 let sum xs = List.fold_left ( +. ) 0. xs
 
 (* [Printf]'s [%g] and [%.17g] end in this C primitive; calling it
@@ -33,5 +25,3 @@ let to_string x =
   match float_of_string_opt short with
   | Some y when Float.equal y x -> short
   | Some _ | None -> format_float "%.17g" x
-
-let pp ppf x = Format.pp_print_string ppf (to_string x)

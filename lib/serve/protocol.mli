@@ -101,9 +101,7 @@ type response =
 (** {1 JSON codec} *)
 
 val request_to_json : request -> Search_numerics.Json.t
-val request_of_json : Search_numerics.Json.t -> (request, string) result
 val response_to_json : response -> Search_numerics.Json.t
-val response_of_json : Search_numerics.Json.t -> (response, string) result
 
 val encode_request : id:int -> request -> string
 (** The envelope [{ "id": I, "req": ... }] as compact JSON (unframed). *)
@@ -122,9 +120,6 @@ val decode_response : string -> (int * response, string) result
 (** {1 Framing} *)
 
 module Frame : sig
-  val default_max_frame : int
-  (** 1 MiB. *)
-
   val encode : string -> string
   (** Prefix the payload with its 4-byte big-endian length.
       @raise Search_numerics.Search_error.Error on payloads at or above

@@ -40,7 +40,7 @@ val config :
   unit ->
   config
 (** Defaults: [queue_cap = 64], [batch_cap = 32], [log = ignore].  Frames
-    are capped at {!Protocol.Frame.default_max_frame} bytes.
+    are capped at the {!Protocol.Frame.Decoder} default of 1 MiB.
     @raise Search_numerics.Search_error.Error on non-positive caps. *)
 
 val run :

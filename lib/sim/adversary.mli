@@ -19,9 +19,6 @@ type outcome = {
   candidates_scanned : int;
 }
 
-val default_eps : float
-(** Relative bracketing offset around breakpoints: [1e-7]. *)
-
 val default_ratio_cap : float
 (** Time-horizon multiplier: a target at distance [x] undetected by time
     [ratio_cap *. x] is reported as escaping ([ratio = infinity]).

@@ -18,11 +18,3 @@ let profile trajectories ~f ?(ratio_cap = Adversary.default_ratio_cap) ~n
     done
   done;
   !points
-
-let horizon_convergence ~make_trajectories ~f ?ratio_cap ~ns () =
-  List.map
-    (fun n ->
-      let trajectories = make_trajectories () in
-      let outcome = Adversary.worst_case trajectories ~f ?ratio_cap ~n () in
-      (n, outcome.Adversary.ratio))
-    ns

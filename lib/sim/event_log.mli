@@ -18,7 +18,4 @@ val narrate_crash :
     all) — exponential strategies begin with microscopic warm-up turns
     that only clutter a narration. *)
 
-val pp_entry : Format.formatter -> entry -> unit
-(** Renders as ["[t=12.5] robot-2 turns at ray 0 @ 8"]. *)
-
 val print : entry list -> unit

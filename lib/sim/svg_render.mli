@@ -14,8 +14,6 @@ type style = {
   margin : int;  (** default 32 *)
 }
 
-val default_style : style
-
 val space_time :
   ?style:style -> ?target:World.point -> ?fault:Fault.assignment
   -> ?time_max:float -> Trajectory.t array -> string

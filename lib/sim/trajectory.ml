@@ -82,7 +82,6 @@ let compile itinerary =
   let init = { next_wp = 1; pos = World.origin; now = 0.; stash = None } in
   { itinerary; legs = Lazy_seq.unfold ~init step }
 
-let itinerary t = t.itinerary
 let world t = Itinerary.world t.itinerary
 let label t = Itinerary.label t.itinerary
 let leg t i = Lazy_seq.get t.legs i

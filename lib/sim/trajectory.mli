@@ -22,7 +22,6 @@ type leg = private {
 type t
 
 val compile : Itinerary.t -> t
-val itinerary : t -> Itinerary.t
 val world : t -> World.t
 val label : t -> string
 
@@ -69,5 +68,3 @@ val flat_first_visit : flat -> ray:int -> dist:float -> horizon:float -> float
     [infinity] when it is not visited by [horizon].  Agrees bit-for-bit
     with {!first_visit} on the flattened trajectory for [dist >= 1] and
     the same horizon. *)
-
-val default_max_legs : int

@@ -18,13 +18,6 @@ val reversals_before :
   ?charge_origin:bool -> Trajectory.t -> time:float -> int
 (** Number of charged direction changes strictly before [time]. *)
 
-val charged_visit :
-  ?charge_origin:bool -> Trajectory.t -> turn_cost:float
-  -> target:World.point -> horizon:float -> float option
-(** Earliest charged cost at which the robot reaches [target]:
-    [visit_time + turn_cost * reversals_before visit_time], minimised
-    over visits within the (uncharged) horizon. *)
-
 val detection_cost :
   ?charge_origin:bool -> Trajectory.t array -> f:int -> turn_cost:float
   -> target:World.point -> horizon:float -> float option

@@ -24,8 +24,6 @@ let make ~world ~robots moves =
   in
   { world; robots; moves = Lazy_seq.of_fun check }
 
-let world t = t.world
-let robots t = t.robots
 let move t i = Lazy_seq.get t.moves i
 
 (* Does moving from [from_] to [to_] pass through [target], and after how

@@ -26,8 +26,6 @@ val make : world:World.t -> robots:int -> (int -> move) -> t
 (** [make ~world ~robots moves] — [moves i] is the i-th move (1-based);
     robot indices must be in [[0, robots)].  Memoised, must be pure. *)
 
-val world : t -> World.t
-val robots : t -> int
 val move : t -> int -> move
 
 val work_to_visit :
@@ -37,11 +35,6 @@ val work_to_visit :
     move counted only up to the target), or [None] if the budget is
     exhausted first.  [max_moves] defaults to 1_000_000; exceeding it
     raises [Search_numerics.Search_error.Error] ([Non_convergence]). *)
-
-val move_endpoints :
-  ?max_moves:int -> t -> work_budget:float -> (int * float) list
-(** [(ray, dist)] of every move destination reachable within the budget —
-    the breakpoints the worst-case scan uses. *)
 
 type outcome = { ratio : float; witness : World.point }
 

@@ -34,9 +34,6 @@ let line_coordinate p =
   | 1 -> -.p.dist
   | r -> invalid_arg (Printf.sprintf "World.line_coordinate: ray %d" r)
 
-let of_line_coordinate x =
-  if x >= 0. then { ray = 0; dist = x } else { ray = 1; dist = -.x }
-
 let pp_point ppf p =
   if is_origin p then Format.pp_print_string ppf "origin"
   else Format.fprintf ppf "ray %d @@ %g" p.ray p.dist

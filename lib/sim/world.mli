@@ -43,7 +43,4 @@ val line_coordinate : point -> float
 (** Signed coordinate for line worlds: [+dist] on ray 0, [-dist] on ray 1.
     @raise Invalid_argument for a ray index [> 1]. *)
 
-val of_line_coordinate : float -> point
-(** Inverse of {!line_coordinate}. *)
-
 val pp_point : Format.formatter -> point -> unit

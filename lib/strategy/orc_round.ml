@@ -9,8 +9,6 @@ let cover_threshold turns ~mu ~i =
   if mu <= 0. then invalid_arg "Orc_round.cover_threshold: need mu > 0";
   Turning.partial_sum turns (i - 1) /. mu
 
-let fruitful turns ~mu ~i = cover_threshold turns ~mu ~i <= Turning.get turns i
-
 let round_cover turns ~mu ~i =
   let t'' = cover_threshold turns ~mu ~i in
   let ti = Turning.get turns i in

@@ -17,8 +17,6 @@ val cover_threshold : Turning.t -> mu:float -> i:int -> float
 (** [t''_i = (t1 + ... + t_{i-1}) /. mu] (note: sum up to [i - 1], unlike
     the line setting). *)
 
-val fruitful : Turning.t -> mu:float -> i:int -> bool
-
 val round_cover :
   Turning.t -> mu:float -> i:int -> Search_numerics.Interval1.t option
 (** The interval [[t''_i, t_i]] λ-covered in round [i], when fruitful. *)

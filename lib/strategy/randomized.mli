@@ -23,10 +23,6 @@ val optimal_beta : unit -> float
 val optimal_ratio : unit -> float
 (** [1 + optimal_beta ()], about 4.59112. *)
 
-val turning : beta:float -> u:float -> Turning.t
-(** The offset geometric sequence [t_i = beta^(i + u)].  Requires
-    [beta > 1.] and [0. <= u < 1.]. *)
-
 val detection_time :
   beta:float -> u:float -> positive_first:bool -> x:float -> float
 (** Time for the single robot to reach the (signed) coordinate [x <> 0.]:

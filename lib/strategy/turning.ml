@@ -78,9 +78,6 @@ let compile ?(hint = 64) src =
     len = 0;
   }
 
-let source c = c.src
-let compiled_length c = c.len
-
 let ensure c i =
   if c.len < i then begin
     if Array.length c.turns < i then begin

@@ -62,10 +62,6 @@ val compile : ?hint:int -> t -> compiled
     Construction is O(1) — elements are pulled from the source on first
     access. *)
 
-val source : compiled -> t
-val compiled_length : compiled -> int
-(** Number of elements materialised so far. *)
-
 val compiled_get : compiled -> int -> float
 (** Same contract (including validation) as {!get}. *)
 
@@ -76,6 +72,6 @@ val compiled_prefix_walk : compiled -> int -> float
 (** Sum of the partial sums [S_1 + ... + S_depth] over the already
     materialised prefix — the steady-state read pattern of the covering
     sweeps, exposed as a benchable kernel.  Raises [Invalid_argument]
-    when [depth] is negative or exceeds {!compiled_length}: unlike
+    when [depth] is negative or exceeds the materialised prefix: unlike
     {!compiled_partial_sum} it never grows the view, so it stays
     allocation-free (a [@hot] lint root with a zero budget). *)

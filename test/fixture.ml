@@ -46,6 +46,13 @@ let compile root files =
        (String.concat " " (List.map Filename.quote files)))
   = 0
 
+(* [load] of a temporary file holding [text]: the lint.allow and
+   lint.budget parsers are reached through their file loaders. *)
+let load_text load text =
+  let path = Filename.temp_file "faulty_search_lint" ".txt" in
+  write_file path text;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> load path)
+
 (* [make_tree] then [compile] every source, in list order. *)
 let compiled_tree files =
   let root = make_tree files in

@@ -5,6 +5,7 @@
    sizes. *)
 
 module Finding = Search_analysis.Finding
+module Json = Search_numerics.Json
 module Allow = Search_analysis.Allow
 module Driver = Search_analysis.Driver
 
@@ -261,9 +262,18 @@ let test_finding_json_roundtrip () =
   check_bool "fixture produced findings" true (List.length findings >= 3);
   List.iter
     (fun f ->
-      match Finding.of_json (Finding.to_json f) with
-      | Ok f' -> check_int "roundtrip exact" 0 (Finding.compare f f')
-      | Error e -> Alcotest.failf "of_json failed: %s" e)
+      let j = Finding.to_json f in
+      let str name = Option.bind (Json.member name j) Json.to_string_value in
+      let int name = Option.bind (Json.member name j) Json.to_int in
+      check_bool "every field survives" true
+        (Option.equal String.equal (str "rule") (Some f.Finding.rule)
+        && Option.equal String.equal (str "severity")
+             (Some (Finding.severity_to_string f.Finding.severity))
+        && Option.equal String.equal (str "file") (Some f.Finding.file)
+        && Option.equal Int.equal (int "line") (Some f.Finding.line)
+        && Option.equal Int.equal (int "col") (Some f.Finding.col)
+        && Option.equal String.equal (str "message") (Some f.Finding.message)
+        && Option.equal String.equal (str "suggestion") f.Finding.suggestion))
     findings
 
 (* ------------------------------------------------------------------ *)
@@ -271,14 +281,15 @@ let test_finding_json_roundtrip () =
 
 let test_allow_parse () =
   match
-    Allow.parse
+    Fixture.load_text Allow.load
       "# header comment\n\
        poly-compare lib/a.ml # why it is fine\n\
        * lib/b.ml\n\n"
   with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok t ->
-      check_int "two entries" 2 (List.length (Allow.entries t));
+      check_int "two entries" 2
+        (List.length (Allow.stale t ~in_scope:(fun _ -> true) ~findings:[]));
       check_bool "listed pair permitted" true
         (Allow.permits t ~rule:"poly-compare" ~file:"lib/a.ml");
       check_bool "other rule same file" false
@@ -296,7 +307,7 @@ let contains hay needle =
   at 0
 
 let test_allow_rejects_garbage () =
-  match Allow.parse "only-one-token\n" with
+  match Fixture.load_text Allow.load "only-one-token\n" with
   | Ok _ -> Alcotest.fail "expected a parse error"
   | Error msg ->
       check_bool "error names the line" true (contains msg "lint.allow:1")
@@ -316,9 +327,11 @@ let test_allow_unreadable () =
 let make_fixture_root () =
   Fixture.compiled_tree
     [
-      ("lib/bad.ml", "let eq (a : float) b = a = b\nlet t () = Sys.time ()\n");
       ("lib/ok.mli", "val add : int -> int -> int\n");
       ("lib/ok.ml", "let add a b = a + b\n");
+      ( "lib/bad.ml",
+        "let eq (a : float) b = a = b\nlet t () = Sys.time ()\n\
+         let three = Ok.add 1 2\n" );
     ]
 
 let test_driver_jobs_invariance () =

@@ -58,6 +58,15 @@ let test_problem_boundary_checks () =
         instance ~m:2 ~k:8 ~horizon:100.,
         E.Regime_violation
           { m = 2; k = 8; f = 1; what = "here requires the searching regime" } );
+      (* the refusal `recheck -m 2 -k 4 -f 1` prints, as certify's *)
+      ( "recheck outside the searching regime",
+        (fun () ->
+          ignore
+            (FS.Problem.searching ~where:"recheck" ~m:2 ~k:4 ~f:1
+               ~horizon:100.)),
+        E.Regime_violation
+          { m = 2; k = 4; f = 1; what = "recheck requires the searching regime" }
+      );
     ];
   instance ~m:2 ~k:3 ~horizon:100. ();
   instance ~m:3 ~k:2 ~horizon:1e9 ();

@@ -155,10 +155,7 @@ let test_assigned_build_complete_orc () =
   let turns = turns31 () in
   match A.build A.Orc_setting ~mu:mu31 ~demand:4 ~turns ~up_to:200. () with
   | A.Complete ivs ->
-      check_bool "nonempty" true (List.length ivs > 8);
-      (* frontier multiset ends past the target *)
-      let ms = A.frontier_multiset ~demand:4 ivs in
-      check_bool "frontier reached" true (List.hd ms >= 200.)
+      check_bool "nonempty" true (List.length ivs > 8)
   | A.Stuck { frontier; _ } -> Alcotest.failf "stuck at %g" frontier
 
 let test_assigned_build_complete_line () =

@@ -28,7 +28,7 @@ let collect root =
   (findings, units)
 
 let parse_allow text =
-  match Allow.parse text with
+  match Fixture.load_text Allow.load text with
   | Ok a -> a
   | Error e -> Alcotest.failf "parse: %s" e
 
@@ -180,19 +180,23 @@ let test_deep_jobs_invariance () =
 (* ------------------------------------------------------------------ *)
 
 let test_entries_located () =
-  match Allow.parse "a b\n\n# comment\nd e  # trailing\n" with
+  match
+    Fixture.load_text Allow.load "a b\n\n# comment\nd e  # trailing\n"
+  with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok allow ->
       Alcotest.(check (list (triple string string int)))
         "line numbers recorded"
         [ ("a", "b", 1); ("d", "e", 4) ]
-        (Allow.entries_located allow)
+        (Allow.stale allow ~in_scope:(fun _ -> true) ~findings:[])
 
 let stale_fixture () =
   Fixture.compiled_tree
     [
       ("lib/x.mli", "val t : unit -> float\n");
       ("lib/x.ml", "let t () = Sys.time ()\n");
+      (* the export's caller, so the fixture has no dead-export *)
+      ("bin/main.ml", "let () = ignore (X.t ())\n");
     ]
 
 let test_stale_detection () =
@@ -259,6 +263,7 @@ let test_exit_codes () =
       [
         ("lib/y.mli", "val add : int -> int -> int\n");
         ("lib/y.ml", "let add a b = a + b\n");
+        ("bin/main.ml", "let () = ignore (Y.add 1 2)\n");
       ]
   in
   let clean = Driver.run ~jobs:1 ~root:clean_root () in

@@ -13,7 +13,6 @@
 
 module Finding = Search_analysis.Finding
 module Driver = Search_analysis.Driver
-module Escape = Search_analysis.Escape
 module Catalogue = Search_analysis.Catalogue
 module Rules = Search_analysis.Rules
 module Pool = Search_exec.Pool
@@ -30,7 +29,8 @@ let compile = Fixture.compile
 let with_ocamlc = Fixture.with_ocamlc
 let by_rule = Fixture.by_rule
 let contains = Fixture.contains
-let collect root = Fixture.collect ~rules:Escape.rule_ids root
+let escape_rules = Catalogue.ids_of Catalogue.Escape
+let collect root = Fixture.collect ~rules:escape_rules root
 
 (* A stub Unix module: the realio rule matches display names, so a
    local lib/unix.ml exercises it without linking the real library. *)
@@ -138,10 +138,7 @@ let test_exn_sanctioned_escapes () =
   check_bool "fixtures compile" true (compile root [ "lib/s.ml" ]);
   let findings, _, _ = collect root in
   check_int "Invalid_argument/Assert_failure sanctioned" 0
-    (List.length (by_rule "escape-exn" findings));
-  check_bool "sanctioned set is the documented trio" true
-    (List.sort String.compare Escape.sanctioned_escapes
-    = [ "Assert_failure"; "Invalid_argument"; "Search_error.Error" ])
+    (List.length (by_rule "escape-exn" findings))
 
 (* ------------------------------------------------------------------ *)
 (* escape-leak                                                         *)
@@ -228,6 +225,86 @@ let test_realio_barrier () =
     (List.length (by_rule "escape-realio" findings))
 
 (* ------------------------------------------------------------------ *)
+(* module aliases: one resolver for every family                       *)
+
+(* The same wall-clock read spelled three ways: through a top-level
+   alias, through a [let module] alias, and directly.  Every family
+   that matches the name must see all three. *)
+let test_alias_spellings () =
+  with_ocamlc @@ fun () ->
+  let root =
+    make_tree
+      [
+        ( "lib/unix.ml",
+          "let gettimeofday () = 0.\nlet sleepf (_ : float) = ()\n" );
+        ( "lib/numerics/clock3.ml",
+          "module U = Unix\n\
+           let a () = U.gettimeofday ()\n\
+           let b () = let module V = Unix in V.gettimeofday ()\n\
+           let c () = Unix.gettimeofday ()\n" );
+        ("lib/dst/d.ml", "let fiber () = let module U = Unix in U.sleepf 0.1\n");
+      ]
+  in
+  check_bool "fixtures compile" true
+    (compile root [ "lib/unix.ml"; "lib/numerics/clock3.ml"; "lib/dst/d.ml" ]);
+  let findings, _, _ =
+    Fixture.collect ~rules:[ "nondet"; "deep-nondet"; "escape-realio" ] root
+  in
+  let lines rule file =
+    List.filter_map
+      (fun f ->
+        if String.equal f.Finding.file file then Some f.Finding.line else None)
+      (by_rule rule findings)
+  in
+  Alcotest.(check (list int))
+    "nondet on every spelling" [ 2; 3; 4 ]
+    (lines "nondet" "lib/numerics/clock3.ml");
+  Alcotest.(check (list int))
+    "deep-nondet on every spelling" [ 2; 3; 4 ]
+    (lines "deep-nondet" "lib/numerics/clock3.ml");
+  Alcotest.(check (list int))
+    "escape-realio through a let-module alias" [ 1 ]
+    (lines "escape-realio" "lib/dst/d.ml")
+
+(* ------------------------------------------------------------------ *)
+(* dead-export / test-only-export                                      *)
+
+let test_export_callers () =
+  with_ocamlc @@ fun () ->
+  let root =
+    make_tree
+      [
+        ("lib/a.mli", "val used : int\nval tested : int\nval dead : int\n");
+        ("lib/a.ml", "let used = 1\nlet tested = 2\nlet dead = 3\n");
+        ("lib/b.ml", "let x = A.used\n");
+        ("test/t.ml", "let y = A.tested\n");
+      ]
+  in
+  check_bool "fixtures compile" true
+    (compile root [ "lib/a.mli"; "lib/a.ml"; "lib/b.ml"; "test/t.ml" ]);
+  let run jobs =
+    Driver.run ~jobs ~rules:[ "dead-export"; "test-only-export" ]
+      ~dirs:[ "lib"; "test" ] ~root ()
+  in
+  let out = run 1 in
+  (match by_rule "dead-export" out.Driver.findings with
+  | [ f ] ->
+      check_string "at the interface" "lib/a.mli" f.Finding.file;
+      check_int "the val's line" 3 f.Finding.line;
+      check_bool "names the value" true (contains f.Finding.message "A.dead")
+  | fs -> Alcotest.failf "expected one dead-export, got %d" (List.length fs));
+  (match by_rule "test-only-export" out.Driver.findings with
+  | [ f ] ->
+      check_string "at the interface" "lib/a.mli" f.Finding.file;
+      check_int "the val's line" 2 f.Finding.line;
+      check_bool "names the value" true (contains f.Finding.message "A.tested")
+  | fs ->
+      Alcotest.failf "expected one test-only-export, got %d" (List.length fs));
+  check_int "nothing else" 2 (List.length out.Driver.findings);
+  check_string "jobs 1 = jobs 4 bytes" (Driver.render_json out)
+    (Driver.render_json (run 4))
+
+(* ------------------------------------------------------------------ *)
 (* driver                                                              *)
 
 let test_driver_exit_and_jobs_invariance () =
@@ -245,13 +322,13 @@ let test_driver_exit_and_jobs_invariance () =
   check_bool "fixtures compile" true
     (compile root (realio_files @ [ "lib/a.ml"; "lib/l.ml" ]));
   let run jobs =
-    Driver.run ~jobs ~rules:Escape.rule_ids ~dirs:[ "lib" ] ~root ()
+    Driver.run ~jobs ~rules:escape_rules ~dirs:[ "lib" ] ~root ()
   in
   let out = run 1 in
   check_bool "all three rules fire" true
     (List.for_all
        (fun r -> by_rule r out.Driver.findings <> [])
-       Escape.rule_ids);
+       escape_rules);
   check_int "findings exit 1" 1 (Driver.exit_code out);
   check_string "jobs 1 = jobs 4 bytes" (Driver.render_json out)
     (Driver.render_json (run 4))
@@ -264,7 +341,8 @@ let emitted_ids =
   List.map (fun (r : Rules.rule) -> r.Rules.id) Rules.all
   @ [ "deep-nondet"; "deep-race"; "deep-lock-order" ]
   @ [ "hotpath-alloc"; "hotpath-blocking" ]
-  @ Escape.rule_ids
+  @ [ "escape-exn"; "escape-leak"; "escape-realio" ]
+  @ [ "dead-export"; "test-only-export" ]
   @ [ "cmt-load"; "cmt-missing"; "cmt-stale" ]
 
 let test_catalogue_exhaustive () =
@@ -281,7 +359,10 @@ let test_catalogue_exhaustive () =
 
 let test_catalogue_families () =
   check_bool "escape ids under the Escape family" true
-    (Catalogue.ids_of Catalogue.Escape = Escape.rule_ids);
+    (escape_rules = [ "escape-exn"; "escape-leak"; "escape-realio" ]);
+  check_bool "export-use ids under the Surface family" true
+    (Catalogue.ids_of Catalogue.Surface
+    = [ "dead-export"; "test-only-export" ]);
   check_bool "per-file rules under the Syntactic family" true
     (Catalogue.ids_of Catalogue.Syntactic
     = List.map (fun (r : Rules.rule) -> r.Rules.id) Rules.all);
@@ -381,6 +462,16 @@ let () =
         [
           Alcotest.test_case "chain from the seam" `Quick test_realio_chain;
           Alcotest.test_case "[@real_io] barrier" `Quick test_realio_barrier;
+        ] );
+      ( "aliases",
+        [
+          Alcotest.test_case "three spellings, every family" `Quick
+            test_alias_spellings;
+        ] );
+      ( "exports",
+        [
+          Alcotest.test_case "dead and test-only exports" `Quick
+            test_export_callers;
         ] );
       ( "driver",
         [

@@ -149,10 +149,16 @@ let test_prng_split_stream_independence () =
 (* ------------------------------------------------------------------ *)
 (* Csv_out *)
 
+(* Field escaping, observed through the written file. *)
 let test_csv_escape () =
-  Alcotest.(check string) "plain" "abc" (Csv.escape_field "abc");
-  Alcotest.(check string) "comma" "\"a,b\"" (Csv.escape_field "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Csv.escape_field "a\"b")
+  let path = Filename.temp_file "fsearch" ".csv" in
+  Csv.write ~path ~header:[ "abc"; "a,b"; "a\"b" ] ~rows:[];
+  let ic = open_in path in
+  let header = input_line ic in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string)
+    "plain, comma, quote" "abc,\"a,b\",\"a\"\"b\"" header
 
 let test_csv_write_roundtrip () =
   let path = Filename.temp_file "fsearch" ".csv" in

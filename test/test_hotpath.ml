@@ -25,7 +25,7 @@ let hotpath_rules = [ "hotpath-alloc"; "hotpath-blocking" ]
 let collect ?budget root = Fixture.collect ~rules:hotpath_rules ?budget root
 
 let budget_of_string s =
-  match Budget.parse s with
+  match Fixture.load_text Budget.load s with
   | Ok b -> b
   | Error msg -> Alcotest.failf "budget parse: %s" msg
 
@@ -165,16 +165,16 @@ let test_stale_budget () =
         root")
 
 let test_budget_parse () =
-  (match Budget.parse "# comment\nA.f 2\nB.g 0  # trailing\n" with
+  (match Fixture.load_text Budget.load "# comment\nA.f 2\nB.g 0  # trailing\n" with
   | Error msg -> Alcotest.failf "parse: %s" msg
   | Ok b ->
       check_bool "A.f" true (Budget.find b "A.f" = Some 2);
       check_bool "B.g" true (Budget.find b "B.g" = Some 0);
       check_bool "missing defaults upstream" true (Budget.find b "C.h" = None));
-  (match Budget.parse "A.f -1\n" with
+  (match Fixture.load_text Budget.load "A.f -1\n" with
   | Error msg -> check_bool "negative rejected" true (contains msg "lint.budget:1")
   | Ok _ -> Alcotest.fail "negative count accepted");
-  match Budget.parse "A.f two\n" with
+  match Fixture.load_text Budget.load "A.f two\n" with
   | Error msg -> check_bool "non-int rejected" true (contains msg "lint.budget:1")
   | Ok _ -> Alcotest.fail "non-integer count accepted"
 
@@ -206,6 +206,26 @@ let test_hotpath_jobs_invariance () =
   in
   check_string "jobs 1 = jobs 4 bytes" (render 1) (render 4)
 
+(* The decoder GitHub applies to workflow-command data: the test's
+   oracle for the escaper being lossless. *)
+let github_unescape s =
+  let buf = Buffer.create (String.length s) in
+  let n = String.length s in
+  let rec go i =
+    if i < n then
+      if i + 2 < n && s.[i] = '%' then (
+        match String.sub s i 3 with
+        | "%25" -> Buffer.add_char buf '%'; go (i + 3)
+        | "%0D" -> Buffer.add_char buf '\r'; go (i + 3)
+        | "%0A" -> Buffer.add_char buf '\n'; go (i + 3)
+        | _ -> Buffer.add_char buf s.[i]; go (i + 1))
+      else (
+        Buffer.add_char buf s.[i];
+        go (i + 1))
+  in
+  go 0;
+  Buffer.contents buf
+
 let test_github_escape_roundtrip () =
   let payloads =
     [
@@ -222,7 +242,7 @@ let test_github_escape_roundtrip () =
       let e = Finding.github_escape p in
       check_bool "no raw newline" true
         (not (String.contains e '\n') && not (String.contains e '\r'));
-      check_string "roundtrip" p (Finding.github_unescape e))
+      check_string "roundtrip" p (github_unescape e))
     payloads
 
 (* ------------------------------------------------------------------ *)

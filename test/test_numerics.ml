@@ -32,18 +32,6 @@ let test_approx_eq_scale () =
   check_bool "large equal-ish" true (X.approx_eq 1e15 (1e15 +. 1.));
   check_bool "large different" false (X.approx_eq 1e15 (1.001e15))
 
-let test_approx_le_ge () =
-  check_bool "le strict" true (X.approx_le 1.0 2.0);
-  check_bool "le equalish" true (X.approx_le (1.0 +. 1e-12) 1.0);
-  check_bool "le violated" false (X.approx_le 2.0 1.0);
-  check_bool "ge mirror" true (X.approx_ge 2.0 1.0);
-  check_bool "ge equalish" true (X.approx_ge 1.0 (1.0 +. 1e-12))
-
-let test_clamp () =
-  checkf "inside" 0.5 (X.clamp ~lo:0. ~hi:1. 0.5);
-  checkf "below" 0. (X.clamp ~lo:0. ~hi:1. (-3.));
-  checkf "above" 1. (X.clamp ~lo:0. ~hi:1. 7.)
-
 let test_is_finite () =
   check_bool "one" true (X.is_finite 1.);
   check_bool "zero" true (X.is_finite 0.);
@@ -53,26 +41,25 @@ let test_is_finite () =
 let test_log_pow_conventions () =
   checkf "0^0 = 1 (log 0)" 0. (X.log_pow 0. 0.);
   checkf "x^0 = 1" 0. (X.log_pow 5. 0.);
-  checkf "2^3" (3. *. log 2.) (X.log_pow 2. 3.);
-  checkf "pow matches **" (2. ** 10.) (X.pow 2. 10.);
-  checkf "pow 0 0 = 1" 1. (X.pow 0. 0.)
+  checkf "2^3" (3. *. log 2.) (X.log_pow 2. 3.)
 
 let test_sum () = checkf "sum" 6. (X.sum [ 1.; 2.; 3. ])
 
 (* ------------------------------------------------------------------ *)
 (* Kahan *)
 
+let kahan_sum xs = Kahan.value (List.fold_left Kahan.add Kahan.zero xs)
+
 let test_kahan_simple () =
   checkf "empty" 0. (Kahan.value Kahan.zero);
-  checkf "list" 10. (Kahan.sum [ 1.; 2.; 3.; 4. ]);
-  checkf "array" 10. (Kahan.sum_array [| 1.; 2.; 3.; 4. |])
+  checkf "list" 10. (kahan_sum [ 1.; 2.; 3.; 4. ])
 
 let test_kahan_beats_naive () =
   (* 1 followed by many tiny values: naive sum loses them *)
   let tiny = 1e-16 in
   let n = 10_000 in
   let xs = 1. :: List.init n (fun _ -> tiny) in
-  let compensated = Kahan.sum xs in
+  let compensated = kahan_sum xs in
   let expected = 1. +. (float_of_int n *. tiny) in
   Alcotest.(check (float 1e-18)) "compensated is exact" expected compensated;
   let naive = X.sum xs in
@@ -81,7 +68,7 @@ let test_kahan_beats_naive () =
 let test_kahan_alternating () =
   (* large cancellations: Neumaier handles the big-term-late case *)
   let xs = [ 1.; 1e100; 1.; -1e100 ] in
-  checkf "neumaier cancellation" 2. (Kahan.sum xs)
+  checkf "neumaier cancellation" 2. (kahan_sum xs)
 
 (* ------------------------------------------------------------------ *)
 (* Root *)
@@ -120,26 +107,18 @@ let test_brent_transcendental () =
   let f a = (a *. a) -. (2. *. a) in
   Alcotest.(check (float 1e-9)) "a = 2" 2. (Root.brent ~f 1.5 3.)
 
-let test_expand_bracket () =
-  (match Root.expand_bracket ~f:(fun x -> x -. 10.) 0. 1. with
-  | Some (lo, hi) ->
-      check_bool "brackets root" true (lo <= 10. && 10. <= hi)
-  | None -> Alcotest.fail "expected bracket");
-  check_bool "hopeless stays none" true
-    (Root.expand_bracket ~f:(fun _ -> 1.) ~max_iter:5 0. 1. = None)
-
 (* ------------------------------------------------------------------ *)
 (* Minimize *)
 
 let test_golden_parabola () =
-  let x, v = Minimize.golden ~f:(fun x -> (x -. 3.) ** 2.) 0. 10. in
+  let x, v = Minimize.grid_then_golden ~f:(fun x -> (x -. 3.) ** 2.) 0. 10. in
   Alcotest.(check (float 1e-6)) "argmin" 3. x;
   Alcotest.(check (float 1e-9)) "min" 0. v
 
 let test_golden_asymmetric () =
   (* the exponential-strategy objective a^2/(a-1), minimum at a = 2 *)
   let f a = a *. a /. (a -. 1.) in
-  let x, v = Minimize.golden ~f 1.01 10. in
+  let x, v = Minimize.grid_then_golden ~f 1.01 10. in
   Alcotest.(check (float 1e-6)) "alpha*" 2. x;
   Alcotest.(check (float 1e-6)) "value 4" 4. v
 
@@ -321,10 +300,12 @@ let test_sweep_demand_boundary () =
 (* ------------------------------------------------------------------ *)
 (* Lazy_seq *)
 
+let prefix s n = List.init n (fun i -> Lazy_seq.get s (i + 1))
+
 let test_lazy_seq_get_prefix () =
   let s = Lazy_seq.of_fun (fun i -> i * i) in
   check_int "get 3" 9 (Lazy_seq.get s 3);
-  Alcotest.(check (list int)) "prefix" [ 1; 4; 9; 16 ] (Lazy_seq.prefix s 4)
+  Alcotest.(check (list int)) "prefix" [ 1; 4; 9; 16 ] (prefix s 4)
 
 let test_lazy_seq_memoises () =
   let calls = ref 0 in
@@ -346,28 +327,16 @@ let test_lazy_seq_bad_index () =
 let test_lazy_seq_of_list_then () =
   let s = Lazy_seq.of_list_then [ 10; 20 ] (fun i -> i) in
   Alcotest.(check (list int)) "prefix then tail" [ 10; 20; 3; 4 ]
-    (Lazy_seq.prefix s 4)
+    (prefix s 4)
 
 let test_lazy_seq_unfold () =
   let s = Lazy_seq.unfold ~init:1 (fun st -> (st, st * 2)) in
   Alcotest.(check (list int)) "powers of two" [ 1; 2; 4; 8 ]
-    (Lazy_seq.prefix s 4);
+    (prefix s 4);
   (* out-of-order access must still be consistent *)
   let s2 = Lazy_seq.unfold ~init:0 (fun st -> (st + 1, st + 1)) in
   check_int "deep first" 7 (Lazy_seq.get s2 7);
   check_int "then shallow" 2 (Lazy_seq.get s2 2)
-
-let test_lazy_seq_map_find () =
-  let s = Lazy_seq.map (fun x -> x * 10) (Lazy_seq.of_fun (fun i -> i)) in
-  check_int "map" 30 (Lazy_seq.get s 3);
-  (match Lazy_seq.find_first (fun v -> v > 25) s ~limit:10 with
-  | Some (i, v) ->
-      check_int "index" 3 i;
-      check_int "value" 30 v
-  | None -> Alcotest.fail "expected find");
-  check_bool "not found under limit" true
-    (Lazy_seq.find_first (fun v -> v > 1000) s ~limit:5 = None)
-
 
 let test_lazy_seq_deep_index_no_stack_overflow () =
   (* the unfold walk must be iterative: a 500k-deep first access used to
@@ -387,10 +356,7 @@ let test_lazy_seq_partial_sums () =
 let test_stats_basic () =
   let t = List.fold_left Stats.add Stats.empty [ 1.; 2.; 3.; 4. ] in
   check_int "count" 4 (Stats.count t);
-  checkf "mean" 2.5 (Stats.mean t);
-  checkf "min" 1. (Stats.min t);
-  checkf "max" 4. (Stats.max t);
-  Alcotest.(check (float 1e-9)) "stddev" (sqrt 1.25) (Stats.stddev t)
+  checkf "mean" 2.5 (Stats.mean t)
 
 let test_stats_empty_raises () =
   Alcotest.check_raises "mean of empty"
@@ -659,7 +625,6 @@ let renders_like_printf x =
   let want = printf_shortest x in
   String.equal (X.to_string x) want
   && String.equal (Search_numerics.Csv_out.float_cell x) want
-  && String.equal (Format.asprintf "%a" X.pp x) want
   && ((not (Float.is_finite x))
      || String.equal (Json.number_to_string x) (printf_json_number x))
 
@@ -729,7 +694,7 @@ let prop_kahan_matches_exact =
   QCheck2.Test.make ~count:200 ~name:"kahan sum matches sorted-exact sum"
     QCheck2.Gen.(list_size (int_range 0 50) (float_range (-1e6) 1e6))
     (fun xs ->
-      let k = Kahan.sum xs in
+      let k = kahan_sum xs in
       let reference = List.fold_left ( +. ) 0. (List.sort Float.compare xs) in
       Float.abs (k -. reference)
       <= 1e-6 *. Float.max 1. (Float.abs reference))
@@ -829,8 +794,6 @@ let () =
         [
           tc "approx_eq basic" `Quick test_approx_eq_basic;
           tc "approx_eq scale" `Quick test_approx_eq_scale;
-          tc "approx le/ge" `Quick test_approx_le_ge;
-          tc "clamp" `Quick test_clamp;
           tc "is_finite" `Quick test_is_finite;
           tc "log_pow conventions" `Quick test_log_pow_conventions;
           tc "sum" `Quick test_sum;
@@ -849,7 +812,6 @@ let () =
           tc "brent polynomial" `Quick test_brent_polynomial;
           tc "brent agrees with bisect" `Quick test_brent_agrees_with_bisect;
           tc "brent transcendental" `Quick test_brent_transcendental;
-          tc "expand bracket" `Quick test_expand_bracket;
         ] );
       ( "minimize",
         [
@@ -894,7 +856,6 @@ let () =
           tc "bad index" `Quick test_lazy_seq_bad_index;
           tc "of_list_then" `Quick test_lazy_seq_of_list_then;
           tc "unfold" `Quick test_lazy_seq_unfold;
-          tc "map/find" `Quick test_lazy_seq_map_find;
           tc "partial sums" `Quick test_lazy_seq_partial_sums;
           tc "deep index" `Quick test_lazy_seq_deep_index_no_stack_overflow;
         ] );

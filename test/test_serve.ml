@@ -144,18 +144,13 @@ let test_nan_roundtrips_as_string () =
   (* NaN is spelled as the JSON string "nan"; build it from the wire side
      so the test itself never constructs the literal *)
   let wire = {|{"tag":"bound","bound":"nan","regime":"searching","alpha_star":null}|} in
-  match Json.of_string wire with
+  match P.decode_response ({|{"id":1,"resp":|} ^ wire ^ "}") with
   | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match P.response_of_json j with
-      | Error e -> Alcotest.fail e
-      | Ok resp ->
-          let again = Json.to_string (P.response_to_json resp) in
-          check_string "nan survives a decode/encode cycle" wire again;
-          check_bool "decoded to a real NaN" true
-            (match resp with
-            | P.Bound_ok b -> Float.is_nan b.P.bound
-            | _ -> false))
+  | Ok (_, resp) ->
+      let again = Json.to_string (P.response_to_json resp) in
+      check_string "nan survives a decode/encode cycle" wire again;
+      check_bool "decoded to a real NaN" true
+        (match resp with P.Bound_ok b -> Float.is_nan b.P.bound | _ -> false)
 
 let test_garbage_decodes_to_error () =
   (match P.decode_request "this is not json" with

@@ -78,11 +78,9 @@ let check_bits name a b =
 
 let test_compiled_basic () =
   let c = Turning.compile ~hint:4 doubling in
-  check_bool "source" true (Turning.source c == doubling);
   checkf "get" 4. (Turning.compiled_get c 3);
   checkf "partial sum" 7. (Turning.compiled_partial_sum c 3);
-  checkf "empty sum" 0. (Turning.compiled_partial_sum c 0);
-  check_bool "length grows" true (Turning.compiled_length c >= 3)
+  checkf "empty sum" 0. (Turning.compiled_partial_sum c 0)
 
 let test_compiled_negative_rejected () =
   let t = Turning.of_fun (fun i -> if i = 2 then -1. else 1.) in
