@@ -857,7 +857,10 @@ let serve_run socket jobs queue_cap batch_cap cache_cap chaos_seed retries =
     | () -> exit_ok
     | exception FS.Search_error.Error err ->
         Format.eprintf "serve: %a@." FS.Search_error.pp err;
-        exit_internal
+        (* a --socket path holding something other than a socket *)
+        match err with
+        | FS.Search_error.Invalid_input _ -> exit_usage
+        | _ -> exit_internal
   end
 
 let serve_cmd =

@@ -13,14 +13,11 @@ val save :
     path.  The file name is derived from a content digest, so saving is
     idempotent and names are stable across runs. *)
 
-val load_file : string -> (Case.t, string) result
-(** Parse a corpus entry.  Accepts both the {!save} envelope
-    ([{"case": ..., "violations": ...}]) and a bare {!Case.to_json}
-    object, so entries can be written by hand. *)
-
 val replay_file : string -> (unit, string) result
 (** Load the entry and run the full invariant catalogue on its case;
-    [Ok ()] exactly when no invariant is violated. *)
+    [Ok ()] exactly when no invariant is violated.  An entry is either
+    the {!save} envelope ([{"case": ..., "violations": ...}]) or a bare
+    {!Case.to_json} object, so entries can be written by hand. *)
 
 val files : dir:string -> string list
 (** The [*.json] entries of a corpus directory, sorted by name; empty

@@ -83,8 +83,3 @@ let build setting ~mu ~demand ~turns ~up_to ?(max_steps = 1_000_000) () =
         end
   in
   loop (List.init demand (fun _ -> 1.)) [] 0
-
-let loads intervals ~robots =
-  let l = Array.make robots 0. in
-  List.iter (fun iv -> l.(iv.robot) <- l.(iv.robot) +. iv.turn) intervals;
-  l

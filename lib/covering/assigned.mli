@@ -50,6 +50,3 @@ val build :
     turns are consumed in order; turns [<=] the frontier that cannot serve
     as right ends are skipped (removed from the robot's strategy, per the
     proofs).  Requires [mu > 0.], [demand >= 1], at least one robot. *)
-
-val loads : interval list -> robots:int -> float array
-(** Final per-robot loads (sums of used turning points). *)

@@ -292,8 +292,9 @@ let readable t fd =
   | None -> true
 
 let sim_listen t ~path =
-  (* a stale socket file (listener long closed) is replaced, mirroring
-     the unix implementation's unlink-before-bind *)
+  (* a stale socket file (listener long closed) is replaced and a live
+     one refused, as the unix implementation does after its probe
+     connect *)
   (match find_bound t path with
   | Some (_, lfd) -> (
       match node t lfd with

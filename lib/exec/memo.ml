@@ -113,12 +113,3 @@ let stats t =
         entries = Hashtbl.length t.table;
         capacity = t.capacity;
       })
-
-let clear t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.reset t.table;
-      t.head <- None;
-      t.tail <- None;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)

@@ -34,6 +34,3 @@ val stats : ('k, 'v) t -> stats
 (** [misses] counts computes started (may exceed [entries] under
     concurrent duplicate computes, and under eviction churn);
     [evictions] counts entries dropped to respect [capacity]. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop all entries and reset every counter. *)

@@ -117,21 +117,3 @@ let append_history t ~path ~run =
     (fun () ->
       output_string oc line;
       output_char oc '\n')
-
-let read_history path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let lines = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try
-          while true do
-            lines := input_line ic :: !lines
-          done
-        with End_of_file -> ());
-    List.rev !lines
-    |> List.filter_map (fun l ->
-           match Json.of_string l with Ok j -> Some j | Error _ -> None)
-  end

@@ -22,9 +22,6 @@ val time : t -> experiment:string -> (unit -> 'a) -> 'a
 val record : t -> experiment:string -> seconds:float -> unit
 (** Append an externally measured duration. *)
 
-val entries : t -> (string * float) list
-(** [(experiment, seconds)] in recording order. *)
-
 val total : t -> float
 (** Sum of all recorded durations. *)
 
@@ -46,8 +43,3 @@ val append_history : t -> path:string -> run:string -> unit
     Unlike {!write}, nothing is ever replaced — consecutive runs
     accumulate, so the perf trajectory across commits stays visible.
     Guarded by the same lock-file + mutex pair as {!write}. *)
-
-val read_history : string -> Search_numerics.Json.t list
-(** Parse a history file back, one {!Search_numerics.Json.t} per line,
-    oldest first; unparsable lines (e.g. a torn tail from a killed run)
-    are skipped.  A missing file is an empty history. *)

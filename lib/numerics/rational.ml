@@ -1,88 +1,24 @@
 type t = { num : int; den : int }
 
 exception Overflow
-exception Division_by_zero_rational
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-(* Overflow-checked primitives: detect by inverse operation. *)
-let add_exn a b =
-  let c = a + b in
-  if (a >= 0 && b >= 0 && c < 0) || (a < 0 && b < 0 && c >= 0) then
-    raise Overflow
-  else c
-
+(* Overflow-checked product: detect by the inverse operation. *)
 let mul_exn a b =
   if a = 0 || b = 0 then 0
   else
     let c = a * b in
     if not (Int.equal (c / b) a) then raise Overflow else c
 
+(* [num/den] in lowest terms; every caller passes [den > 0]. *)
 let make num den =
-  if den = 0 then raise Division_by_zero_rational
-  else
-    let sign = if den < 0 then -1 else 1 in
-    let num = sign * num and den = sign * den in
-    let g = gcd num den in
-    if g = 0 then { num = 0; den = 1 } else { num = num / g; den = den / g }
+  let g = gcd num den in
+  { num = num / g; den = den / g }
 
-let of_int n = { num = n; den = 1 }
-let zero = of_int 0
-let one = of_int 1
 let num t = t.num
 let den t = t.den
-
-let add a b =
-  (* reduce cross terms by gcd of denominators first to delay overflow *)
-  let g = gcd a.den b.den in
-  let da = a.den / g and db = b.den / g in
-  let n = add_exn (mul_exn a.num db) (mul_exn b.num da) in
-  let d = mul_exn a.den db in
-  make n d
-
-let neg a = { a with num = -a.num }
-let sub a b = add a (neg b)
-
-let mul a b =
-  let g1 = gcd a.num b.den and g2 = gcd b.num a.den in
-  let n = mul_exn (a.num / g1) (b.num / g2) in
-  let d = mul_exn (a.den / g2) (b.den / g1) in
-  make n d
-
-let inv a =
-  if a.num = 0 then raise Division_by_zero_rational
-  else make a.den a.num
-
-let div a b = mul a (inv b)
-let abs a = { a with num = Stdlib.abs a.num }
-
-let compare a b =
-  (* a.num/a.den ? b.num/b.den -- cross-multiply carefully *)
-  let lhs = mul_exn a.num b.den and rhs = mul_exn b.num a.den in
-  Stdlib.compare lhs rhs
-
-let equal a b = Int.equal a.num b.num && Int.equal a.den b.den
 let to_float a = float_of_int a.num /. float_of_int a.den
-
-let of_float_approx ?(max_den = 10_000) x =
-  if not (Float.is_finite x) then invalid_arg "Rational.of_float_approx";
-  let negative = x < 0. in
-  let x = Float.abs x in
-  (* Continued-fraction expansion, stopping before the denominator limit. *)
-  let rec walk x (p0, q0) (p1, q1) depth =
-    if depth > 64 then (p1, q1)
-    else
-      let a = int_of_float (floor x) in
-      let p2 = add_exn (mul_exn a p1) p0 and q2 = add_exn (mul_exn a q1) q0 in
-      if q2 > max_den then (p1, q1)
-      else
-        let frac = x -. float_of_int a in
-        if frac < 1e-12 then (p2, q2)
-        else walk (1. /. frac) (p1, q1) (p2, q2) (depth + 1)
-  in
-  let p, q = walk x (0, 1) (1, 0) 0 in
-  let q = if q = 0 then 1 else q in
-  make (if negative then -p else p) q
 
 let approximations_above ~target ~count =
   if target <= 1. then invalid_arg "Rational.approximations_above";
@@ -97,7 +33,11 @@ let approximations_above ~target ~count =
       let q = Stdlib.max q (k + 1) in
       let r = make q k in
       let improves =
-        match acc with [] -> true | prev :: _ -> compare r prev < 0
+        match acc with
+        | [] -> true
+        | prev :: _ ->
+            (* r < prev, cross-multiplied *)
+            mul_exn r.num prev.den < mul_exn prev.num r.den
       in
       if improves then build (k * 2) (r :: acc) (got + 1) (guard + 1)
       else build (k * 2) acc got (guard + 1)
@@ -107,7 +47,3 @@ let approximations_above ~target ~count =
 let pp ppf t =
   if t.den = 1 then Format.fprintf ppf "%d" t.num
   else Format.fprintf ppf "%d/%d" t.num t.den
-
-(* Defined last: these shadow the polymorphic Stdlib comparisons. *)
-let ( < ) a b = compare a b < 0
-let ( <= ) a b = compare a b <= 0

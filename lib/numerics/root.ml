@@ -1,38 +1,19 @@
-let check_bracket ~who ~flo ~fhi lo hi =
+let check_bracket ~flo ~fhi lo hi =
   if flo *. fhi > 0. then
     Search_error.raise_
       (Search_error.Invalid_input
          {
-           where = who;
+           where = "Root.brent";
            what =
              Printf.sprintf "f(%g)=%g and f(%g)=%g have the same sign" lo flo
                hi fhi;
          })
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
-  let flo = f lo and fhi = f hi in
-  check_bracket ~who:"Root.bisect" ~flo ~fhi lo hi;
-  if Float.equal flo 0. then lo
-  else if Float.equal fhi 0. then hi
-  else
-    let rec loop lo hi flo iter =
-      let mid = 0.5 *. (lo +. hi) in
-      let width = hi -. lo in
-      let scale = Float.max 1. (Float.abs mid) in
-      if width <= tol *. scale || iter >= max_iter then mid
-      else
-        let fmid = f mid in
-        if Float.equal fmid 0. then mid
-        else if flo *. fmid < 0. then loop lo mid flo (iter + 1)
-        else loop mid hi fmid (iter + 1)
-    in
-    loop lo hi flo 0
-
 (* Classic Brent: maintain (a, b) with f(b) closest to zero, previous iterate
    c, and fall back to bisection whenever interpolation misbehaves. *)
 let brent ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
   let fa = f lo and fb = f hi in
-  check_bracket ~who:"Root.brent" ~flo:fa ~fhi:fb lo hi;
+  check_bracket ~flo:fa ~fhi:fb lo hi;
   if Float.equal fa 0. then lo
   else if Float.equal fb 0. then hi
   else begin

@@ -1,17 +1,3 @@
-type t = { count : int; mean : float }
-
-let empty = { count = 0; mean = 0. }
-
-let add t x =
-  let count = t.count + 1 in
-  { count; mean = t.mean +. ((x -. t.mean) /. float_of_int count) }
-
-let count t = t.count
-
-let mean t =
-  if t.count = 0 then invalid_arg "Stats.mean: empty summary";
-  t.mean
-
 type 'a sup = { sup_v : float; witness : 'a option }
 
 let sup_empty = { sup_v = neg_infinity; witness = None }

@@ -1,18 +1,8 @@
-(** Running statistics and sup-ratio tracking.
+(** Sup-ratio tracking and nearest-rank percentiles.
 
     The competitive ratio is a supremum of [time(x) / |x|] over target
     locations; the simulator feeds candidate targets one by one and this
     module keeps the running supremum together with the witness argmax. *)
-
-type t
-(** Immutable running summary. *)
-
-val empty : t
-val add : t -> float -> t
-
-val count : t -> int
-val mean : t -> float
-(** @raise Invalid_argument on an empty summary. *)
 
 type 'a sup
 (** Running supremum of a keyed value, remembering the argmax key. *)

@@ -7,14 +7,10 @@ let approx_eq ?(eps = default_eps) a b =
     if scale < eps then Float.abs (a -. b) <= eps
     else Float.abs (a -. b) <= eps *. scale
 
-let is_finite x = Float.is_finite x
-
 let log_pow b e =
   assert (b >= 0.);
   if Float.equal e 0. then 0. (* continuous extension: b^0 = 1, including 0^0 *)
   else e *. log b
-
-let sum xs = List.fold_left ( +. ) 0. xs
 
 (* [Printf]'s [%g] and [%.17g] end in this C primitive; calling it
    directly gives the same bytes without interpreting a format. *)

@@ -31,9 +31,39 @@ type t = T : 'fd ops -> t
    before re-raising (and whose success path transfers ownership to
    the caller). *)
 
+(* Clear [path] for [bind], touching only a socket nothing listens on:
+   a probe [connect] tells a live daemon's socket (refused with the DST
+   network's "address already in use") from a stale one (ECONNREFUSED,
+   unlinked).  A file that is not a socket is never removed. *)
+let[@real_io] claim_socket_path path =
+  let fail what err = E.raise_ (E.Io_failure { path; what = what ^ Unix.error_message err }) in
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | exception Unix.Unix_error (err, _, _) -> fail "lstat: " err
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+      let probe = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let outcome =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close probe with Unix.Unix_error _ -> ())
+          (fun () ->
+            match Unix.connect probe (Unix.ADDR_UNIX path) with
+            | () -> `Live
+            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> `Stale
+            | exception Unix.Unix_error (err, _, _) -> `Err err)
+      in
+      match outcome with
+      | `Live ->
+          E.raise_ (E.Io_failure { path; what = "bind: address already in use" })
+      | `Err err -> fail "connect: " err
+      | `Stale -> (
+          try Unix.unlink path with
+          | Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+          | Unix.Unix_error (err, _, _) -> fail "unlink: " err))
+  | _ ->
+      E.invalid ~where:"listen" (path ^ " exists and is not a socket")
+
 let[@real_io] [@releases] unix_listen ~path =
-  (try if Sys.file_exists path then Unix.unlink path
-   with Unix.Unix_error _ | Sys_error _ -> ());
+  claim_socket_path path;
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match
     Unix.bind fd (Unix.ADDR_UNIX path);

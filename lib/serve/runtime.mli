@@ -10,10 +10,13 @@
 
     Contract for implementations:
 
-    - [listen ~path] binds a listening endpoint at [path], replacing a
-      stale one; raises [Search_error.Error] ([Io_failure]) when the
-      path cannot be bound.  [accept] on its result never blocks:
-      [`Again] when no connection is pending.
+    - [listen ~path] binds a listening endpoint at [path].  It owns only
+      its own socket: a stale socket (nothing accepts on it) is
+      replaced; a live one raises [Search_error.Error] ([Io_failure]
+      "bind: address already in use"); anything else at [path] raises
+      [Invalid_input] and is left untouched.  Other bind failures raise
+      [Io_failure].  [accept] on its result never blocks: [`Again] when
+      no connection is pending.
     - [read]/[write] are the non-blocking handlers the event loop uses:
       [`Again] means "would block, try after select"; [`Err] means the
       transport failed and the connection must be culled; [read] answers

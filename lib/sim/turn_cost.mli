@@ -14,19 +14,12 @@
     and on a star the junction cost is a modelling choice we keep at
     zero (set [charge_origin] to charge it too). *)
 
-val reversals_before :
-  ?charge_origin:bool -> Trajectory.t -> time:float -> int
-(** Number of charged direction changes strictly before [time]. *)
-
-val detection_cost :
-  ?charge_origin:bool -> Trajectory.t array -> f:int -> turn_cost:float
-  -> target:World.point -> horizon:float -> float option
-(** Worst case over crash assignments: the [(f+1)]-st smallest charged
-    visit cost. *)
-
 val worst_ratio :
   ?charge_origin:bool -> ?eps:float -> ?ratio_cap:float
   -> Trajectory.t array -> f:int -> turn_cost:float -> n:float -> unit
   -> float
-(** Supremum over targets in [[1, n]] of [detection_cost /. |x|]
-    (breakpoint scan as in {!Adversary}). *)
+(** Supremum over targets in [[1, n]] of the charged detection cost over
+    [|x|] (breakpoint scan as in {!Adversary}).  A robot's charged cost
+    of a visit at time [t] is [t] plus [turn_cost] per charged reversal
+    strictly before [t]; the detection cost is the worst case over crash
+    assignments, the [(f+1)]-st smallest charged visit cost. *)

@@ -2,6 +2,8 @@ module Lazy_seq = Search_numerics.Lazy_seq
 module Stats = Search_numerics.Stats
 module E = Search_numerics.Search_error
 
+(* Move one robot from wherever it is to [target] (star metric); all
+   other robots stand still and accrue no distance. *)
 type move = { robot : int; target : World.point }
 
 type t = {
@@ -9,22 +11,6 @@ type t = {
   robots : int;
   moves : move Lazy_seq.t;
 }
-
-let make ~world ~robots moves =
-  if robots < 1 then invalid_arg "Work_schedule.make: need robots >= 1";
-  let check i =
-    let mv = moves i in
-    if mv.robot < 0 || mv.robot >= robots then
-      invalid_arg "Work_schedule.make: robot index out of range";
-    (* revalidate the point against the world *)
-    {
-      mv with
-      target = World.point world ~ray:mv.target.World.ray ~dist:mv.target.World.dist;
-    }
-  in
-  { world; robots; moves = Lazy_seq.of_fun check }
-
-let move t i = Lazy_seq.get t.moves i
 
 (* Does moving from [from_] to [to_] pass through [target], and after how
    much travel?  The path is direct on a shared ray, otherwise through
@@ -59,7 +45,9 @@ let passage ~from_ ~to_ ~target =
     else None
   end
 
-let fold_moves ?(max_moves = 1_000_000) t ~continue ~f init =
+let max_moves = 1_000_000
+
+let fold_moves t ~continue ~f init =
   let positions = Array.make t.robots World.origin in
   let rec loop i acc =
     if i > max_moves then
@@ -71,7 +59,7 @@ let fold_moves ?(max_moves = 1_000_000) t ~continue ~f init =
              detail = Printf.sprintf "exceeded %d moves" max_moves;
            })
     else
-      let mv = move t i in
+      let mv = Lazy_seq.get t.moves i in
       let from_ = positions.(mv.robot) in
       match continue acc from_ mv with
       | false -> acc
@@ -82,27 +70,23 @@ let fold_moves ?(max_moves = 1_000_000) t ~continue ~f init =
   in
   loop 1 init
 
-let work_to_visit ?max_moves t ~target ~work_budget =
+let work_to_visit t ~target ~work_budget =
   let result = ref None in
-  let total =
-    try
-      fold_moves ?max_moves t
-        ~continue:(fun work _ _ -> !result = None && work <= work_budget)
-        ~f:(fun work ~from_ ~mv ->
-          (match passage ~from_ ~to_:mv.target ~target with
-          | Some partial when work +. partial <= work_budget ->
-              if !result = None then result := Some (work +. partial)
-          | Some _ | None -> ());
-          work +. World.travel_distance from_ mv.target)
-        0.
-    with E.Error (E.Non_convergence _) -> work_budget +. 1.
-  in
-  ignore total;
+  ignore
+    (fold_moves t
+       ~continue:(fun work _ _ -> !result = None && work <= work_budget)
+       ~f:(fun work ~from_ ~mv ->
+         (match passage ~from_ ~to_:mv.target ~target with
+         | Some partial when work +. partial <= work_budget ->
+             if !result = None then result := Some (work +. partial)
+         | Some _ | None -> ());
+         work +. World.travel_distance from_ mv.target)
+       0.);
   !result
 
-let move_endpoints ?max_moves t ~work_budget =
+let move_endpoints t ~work_budget =
   let acc =
-    fold_moves ?max_moves t
+    fold_moves t
       ~continue:(fun (work, _) _ _ -> work <= work_budget)
       ~f:(fun (work, eps) ~from_ ~mv ->
         ( work +. World.travel_distance from_ mv.target,
@@ -161,7 +145,7 @@ let kmsy ?(alpha = 2.) ~m ~k () =
     let robot = if ray <= k - 2 then ray else k - 1 in
     { robot; target = World.point world ~ray ~dist:(scale *. (alpha ** float_of_int p)) }
   in
-  make ~world ~robots:k moves
+  { world; robots = k; moves = Lazy_seq.of_fun moves }
 
 let parallel_charged trajectories ~f ~n =
   let out = Adversary.worst_case trajectories ~f ~n () in

@@ -16,33 +16,23 @@
     structure; the benches contrast its [D/d] with the time-optimal
     strategy's (which pays [k] distances per time unit). *)
 
-type move = { robot : int; target : World.point }
-(** Move one robot from wherever it is to [target] (star metric); all
-    other robots stand still and accrue no distance. *)
-
 type t
-
-val make : world:World.t -> robots:int -> (int -> move) -> t
-(** [make ~world ~robots moves] — [moves i] is the i-th move (1-based);
-    robot indices must be in [[0, robots)].  Memoised, must be pure. *)
-
-val move : t -> int -> move
-
-val work_to_visit :
-  ?max_moves:int -> t -> target:World.point -> work_budget:float
-  -> float option
-(** Total distance accumulated when the target is first passed (the final
-    move counted only up to the target), or [None] if the budget is
-    exhausted first.  [max_moves] defaults to 1_000_000; exceeding it
-    raises [Search_numerics.Search_error.Error] ([Non_convergence]). *)
+(** A lazily generated sequence of single-robot moves over a world: each
+    moves one robot to a point (star metric) while the others stand
+    still and accrue no distance. *)
 
 type outcome = { ratio : float; witness : World.point }
 
 val worst_ratio :
   ?eps:float -> ?ratio_cap:float -> t -> n:float -> unit -> outcome
-(** Supremum of [work_to_visit x / |x|] over targets with distances in
-    [[1, n]] (breakpoint bracketing as in {!Adversary}).  [ratio_cap]
-    (default 1024) bounds the explored work budget per unit distance. *)
+(** Supremum of [work(x) / |x|] over targets with distances in [[1, n]]
+    (breakpoint bracketing as in {!Adversary}), where [work(x)] is the
+    total distance accumulated when the target is first passed (the final
+    move counted only up to the target).  [ratio_cap] (default 1024)
+    bounds the explored work budget per unit distance; a target not
+    passed within [ratio_cap *. |x|] counts as [infinity].
+    @raise Search_numerics.Search_error.Error ([Non_convergence]) when
+      one walk exceeds 1_000_000 moves without spending its budget. *)
 
 val kmsy : ?alpha:float -> m:int -> k:int -> unit -> t
 (** The [20]-shaped schedule for [k <= m] fault-free robots: robots

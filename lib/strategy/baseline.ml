@@ -24,24 +24,3 @@ let replicated_doubling ~k =
 let replicated_mray ~m ~k =
   if k < 1 then invalid_arg "Baseline.replicated_mray: need k >= 1";
   Array.init k (fun _ -> Cyclic.single_robot ~m ())
-
-let lone_rays_plus_sweeper ~m ~k =
-  if not (1 <= k && k < m) then
-    invalid_arg "Baseline.lone_rays_plus_sweeper: need 1 <= k < m";
-  let world = World.rays m in
-  let rest = m - k + 1 in
-  (* The sweeper runs the optimal single-robot search over [rest] rays,
-     relabelled onto rays k-1 .. m-1 of the real world. *)
-  let sweeper_core = Cyclic.make ~m:rest ~k:1 () in
-  let small = Mray_exponential.itinerary sweeper_core ~robot:0 in
-  let sweeper =
-    Itinerary.of_excursions ~label:"sweeper" ~world (fun p ->
-        (* waypoints of the small plan alternate (excursion, origin);
-           excursion p is waypoint 2p - 1 *)
-        let wp = Itinerary.waypoint small ((2 * p) - 1) in
-        (wp.World.ray + (k - 1), wp.World.dist))
-  in
-  Array.init k (fun r ->
-      if r < k - 1 then
-        straight_out ~world ~ray:r ~label:(Printf.sprintf "straight-%d" r)
-      else sweeper)

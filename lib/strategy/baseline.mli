@@ -23,12 +23,3 @@ val replicated_doubling : k:int -> Search_sim.Itinerary.t array
 val replicated_mray : m:int -> k:int -> Search_sim.Itinerary.t array
 (** Same idea on [m] rays: [k] copies of the optimal single-robot m-ray
     strategy; ratio [1 + 2 m^m/(m-1)^(m-1)] for any [f < k]. *)
-
-val lone_rays_plus_sweeper : m:int -> k:int -> Search_sim.Itinerary.t array
-(** The Kao–Ma–Sipser–Yin distance-optimal shape quoted in Section 3:
-    "all but one robot search on one ray each, while the last robot
-    performs the search on all remaining rays".  Robots [0 .. k-2] head
-    straight out on rays [0 .. k-2]; robot [k-1] runs the single-robot
-    exponential search over rays [k-1 .. m-1].  Requires [1 <= k < m]
-    (fault-free).  Good in total {e distance}, poor in {e time} — the
-    contrast the paper draws when motivating the time version. *)

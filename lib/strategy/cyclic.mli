@@ -11,12 +11,10 @@
     shows optimal among all strategies.  This module exposes that instance
     directly, plus the classic [k = 1] specialisations. *)
 
-val make : ?alpha:float -> m:int -> k:int -> unit -> Mray_exponential.t
+val itineraries : ?alpha:float -> m:int -> k:int -> unit -> Search_sim.Itinerary.t array
 (** The cyclic strategy of [k] fault-free robots on [m] rays; requires
     [1 <= k < m].  [alpha] defaults to the optimal
     [(m/(m-k))^(1/k)]. *)
-
-val itineraries : ?alpha:float -> m:int -> k:int -> unit -> Search_sim.Itinerary.t array
 
 val single_robot : ?alpha:float -> m:int -> unit -> Search_sim.Itinerary.t
 (** The classic single-robot m-ray search ([k = 1]), with default base

@@ -20,15 +20,4 @@ let optimal ?alpha params =
         predicted_ratio = Mray_exponential.predicted_ratio strat;
       }
 
-let line_zigzags ?labels turns =
-  Array.mapi
-    (fun r t ->
-      let label =
-        match labels with
-        | Some ls when r < Array.length ls -> ls.(r)
-        | Some _ | None -> Printf.sprintf "zigzag-%d" r
-      in
-      Line_zigzag.itinerary ~label t)
-    turns
-
 let trajectories t = Array.map Search_sim.Trajectory.compile t.itineraries

@@ -18,10 +18,5 @@ val optimal : ?alpha:float -> Search_bounds.Params.t -> t
     [lambda0], or the appendix bound for a non-default [alpha]).
     @raise Invalid_argument for an unsolvable instance ([f = k]). *)
 
-val line_zigzags :
-  ?labels:string array -> Turning.t array -> Search_sim.Itinerary.t array
-(** A hand-rolled group of line zigzag strategies (for experiments with
-    custom strategies). *)
-
 val trajectories : t -> Search_sim.Trajectory.t array
 (** Compile every itinerary. *)

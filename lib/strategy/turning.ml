@@ -13,11 +13,6 @@ let geometric ?(scale = 1.) ~alpha () =
   if scale <= 0. then invalid_arg "Turning.geometric: need scale > 0";
   of_fun (fun i -> scale *. (alpha ** float_of_int i))
 
-let constant_then_geometric ~first ~alpha =
-  if first <= 0. then invalid_arg "Turning.constant_then_geometric: first <= 0";
-  if alpha <= 0. then invalid_arg "Turning.constant_then_geometric: alpha <= 0";
-  of_fun (fun i -> first *. (alpha ** float_of_int (i - 1)))
-
 let get t i =
   let v = Lazy_seq.get t.seq i in
   if v < 0. || Float.is_nan v then
@@ -37,12 +32,6 @@ let nondecreasing_prefix t ~n =
       if v >= prev then check (i + 1) v else false
   in
   check 1 0.
-
-let scale t c =
-  if c <= 0. then invalid_arg "Turning.scale: need c > 0";
-  of_fun (fun i -> c *. get t i)
-
-let map_indices t g = of_fun (fun i -> get t (g i))
 
 (* ------------------------------------------------------------------ *)
 (* Compiled (flat-array) view                                          *)

@@ -21,9 +21,6 @@ val geometric : ?scale:float -> alpha:float -> unit -> t
 (** [t_i = scale *. alpha^i]; [scale] defaults to 1.  Requires
     [alpha > 0.] and [scale > 0.]. *)
 
-val constant_then_geometric : first:float -> alpha:float -> t
-(** [t_1 = first], then geometric growth from it: [t_i = first *. alpha^(i-1)]. *)
-
 val get : t -> int -> float
 (** [get s i] = [t_i].
     @raise Invalid_argument on [i < 1] or a negative produced value. *)
@@ -33,14 +30,6 @@ val partial_sum : t -> int -> float
 
 val nondecreasing_prefix : t -> n:int -> bool
 (** Whether [t_1 <= t_2 <= ... <= t_n]. *)
-
-val scale : t -> float -> t
-(** [scale s c] multiplies every turning point by [c > 0.] — the rescaling
-    step used in Case 2 of the Section 3.1 induction. *)
-
-val map_indices : t -> (int -> int) -> t
-(** [map_indices s g] is the subsequence [t_{g 1}, t_{g 2}, ...]; [g] must
-    be strictly increasing (not checked).  Used to skip turning points. *)
 
 (** {2 Compiled (flat-array) view}
 

@@ -1,11 +1,27 @@
-(* Compiled-fixture trees for the lint tests.  A fixture is a temporary
-   root holding a few sources, compiled with ocamlc -bin-annot from
-   that root so the .cmt/.cmti artefacts record repo-relative source
-   paths ("lib/a.ml"), exactly as dune does; the lint then reads the
-   tree the way it reads the real one. *)
+(* Shared test helpers: the one seeded path for QCheck properties, and
+   compiled-fixture trees for the lint tests.  A fixture is a temporary
+   root holding a few sources, compiled with ocamlc -bin-annot from that
+   root so the .cmt/.cmti artefacts record repo-relative source paths
+   ("lib/a.ml"), exactly as dune does; the lint then reads the tree the
+   way it reads the real one. *)
 
 module Driver = Search_analysis.Driver
 module Finding = Search_analysis.Finding
+
+(* Every QCheck property of the suite runs through [properties]: each
+   gets its own generator state made from [property_seed], so
+   [dune runtest] draws the same cases on every run (QCHECK_SEED is
+   never read), and adding or removing one property does not shift the
+   cases of the others.  A failure replays from this constant alone. *)
+let property_seed = 0x5eed
+
+let properties tests =
+  List.map
+    (fun t ->
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| property_seed |])
+        t)
+    tests
 
 let write_file path contents =
   let oc = open_out_bin path in

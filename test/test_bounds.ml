@@ -370,7 +370,7 @@ let prop_mu_rho_form_matches =
       Float.abs (direct -. via_rho) <= 1e-9 *. direct)
 
 let properties =
-  List.map QCheck_alcotest.to_alcotest
+  Fixture.properties
     [
       prop_planning_consistent;
       prop_bound_at_least_three;

@@ -169,9 +169,21 @@ let test_corpus_save_load_roundtrip () =
   let path = Corpus.save ~dir c ~violations in
   let path' = Corpus.save ~dir c ~violations in
   check_string "content-addressed name is stable" path path';
-  (match Corpus.load_file path with
-  | Ok c' -> check_bool "loads back" true (Case.equal c c')
+  let ic = open_in_bin path in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let case_field j =
+    Option.to_result ~none:"no case field" (Json.member "case" j)
+  in
+  (match Result.bind (Result.bind (Json.of_string text) case_field) Case.of_json with
+  | Ok c' -> check_bool "case field loads back" true (Case.equal c c')
   | Error msg -> Alcotest.failf "load failed: %s" msg);
+  (match Corpus.replay_file path with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "the saved entry does not replay: %s" msg);
   Sys.remove path
 
 let () =

@@ -333,7 +333,7 @@ let prop_simulated_never_exceeds_designed =
       <= r.FS.Verify.solution.FS.Solve.designed_ratio +. 1e-6)
 
 let properties =
-  List.map QCheck_alcotest.to_alcotest
+  Fixture.properties
     [ prop_verify_all_regimes; prop_simulated_never_exceeds_designed ]
 
 let () =

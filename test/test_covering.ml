@@ -226,18 +226,6 @@ let test_assigned_stuck_when_impossible () =
   | A.Stuck _ -> ()
   | A.Complete _ -> Alcotest.fail "impossible demand satisfied"
 
-let test_assigned_loads_accessor () =
-  let ivs =
-    [
-      { A.robot = 0; left = 1.; turn = 2. };
-      { A.robot = 1; left = 1.; turn = 3. };
-      { A.robot = 0; left = 2.; turn = 5. };
-    ]
-  in
-  let l = A.loads ivs ~robots:2 in
-  checkf6 "robot 0" 7. l.(0);
-  checkf6 "robot 1" 3. l.(1)
-
 (* ------------------------------------------------------------------ *)
 (* Potential *)
 
@@ -854,7 +842,7 @@ let test_frontier_multi_assignment_is_valid_proof_object () =
   | Error e -> Alcotest.failf "greedy-max object rejected: %s" e
 
 let properties =
-  List.map QCheck_alcotest.to_alcotest
+  Fixture.properties
     [
       prop_optimal_strategy_covers_at_its_bound;
       prop_greedy_assignment_passes_proof_check;
@@ -896,7 +884,6 @@ let () =
           tc "ORC load constraint" `Quick test_assigned_respects_load_constraint;
           tc "line turn constraint" `Quick test_assigned_line_constraint;
           tc "stuck when impossible" `Quick test_assigned_stuck_when_impossible;
-          tc "loads accessor" `Quick test_assigned_loads_accessor;
         ] );
       ( "potential",
         [

@@ -19,6 +19,7 @@ module A = Search_covering.Assigned
 module Sweep = Search_numerics.Sweep
 
 let checkf = Alcotest.(check (float 1e-9))
+let checkf6 = Alcotest.(check (float 1e-6))
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -241,30 +242,23 @@ let test_ws_single_robot_anchor () =
         (Float.abs (out.WS.ratio -. F.single_robot_mray ~m) < 0.05))
     [ 2; 3; 4 ]
 
-let test_ws_work_to_visit_concrete () =
-  (* two robots, hand-written moves *)
-  let w = W.rays 2 in
-  let moves = [| { WS.robot = 0; target = W.point w ~ray:0 ~dist:2. };
-                 { WS.robot = 1; target = W.point w ~ray:1 ~dist:3. };
-                 { WS.robot = 0; target = W.point w ~ray:0 ~dist:5. } |] in
-  let sched = WS.make ~world:w ~robots:2 (fun i -> moves.((i - 1) mod 3)) in
-  (* target at ray 1, dist 2: move 1 costs 2, move 2 passes it after 2 *)
-  (match WS.work_to_visit sched ~target:(W.point w ~ray:1 ~dist:2.) ~work_budget:100. with
-  | Some wk -> checkf "work 2 + 2" 4. wk
-  | None -> Alcotest.fail "expected visit");
-  (* target at ray 0, dist 4: moves 1 (2) + 2 (3) + partial 2 = 7 *)
-  match WS.work_to_visit sched ~target:(W.point w ~ray:0 ~dist:4.) ~work_budget:100. with
-  | Some wk -> checkf "work 2 + 3 + 2" 7. wk
-  | None -> Alcotest.fail "expected visit"
+let test_ws_concrete_work () =
+  (* k = m = 2: each robot owns a ray and only advances, so a target just
+     past depth D on one ray is found once the other ray is at alpha D:
+     work D + alpha D, ratio 1 + alpha (approached from below by the
+     breakpoint bracketing) *)
+  List.iter
+    (fun alpha ->
+      let out = WS.worst_ratio (WS.kmsy ~alpha ~m:2 ~k:2 ()) ~n:200. () in
+      checkf6 (Printf.sprintf "alpha=%g" alpha) (1. +. alpha) out.WS.ratio)
+    [ 2.; 3. ]
 
 let test_ws_budget_exhaustion () =
-  let w = W.rays 2 in
-  let sched =
-    WS.make ~world:w ~robots:1 (fun i ->
-        { WS.robot = 0; target = W.point w ~ray:0 ~dist:(float_of_int i) })
-  in
+  (* a target not passed within ratio_cap * |x| of work escapes: a cap
+     below the single-robot ratio (about 9 on the line) leaves one *)
+  let sched = WS.kmsy ~m:2 ~k:1 () in
   check_bool "budget respected" true
-    (WS.work_to_visit sched ~target:(W.point w ~ray:1 ~dist:5.) ~work_budget:3. = None)
+    (Float.equal infinity (WS.worst_ratio ~ratio_cap:2. sched ~n:50. ()).WS.ratio)
 
 let test_ws_more_robots_help () =
   (* distance ratio improves with k (fewer return trips) at a common
@@ -294,17 +288,16 @@ let test_ws_sequential_beats_parallel_charged () =
   check_bool "sequential schedule wins on distance" true (!best_seq < parallel)
 
 let test_ws_validation () =
-  let w = W.rays 2 in
-  (match WS.make ~world:w ~robots:0 (fun _ -> assert false) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "0 robots accepted");
-  let sched =
-    WS.make ~world:w ~robots:1 (fun _ ->
-        { WS.robot = 3; target = W.point w ~ray:0 ~dist:1. })
-  in
-  match WS.move sched 1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "robot out of range accepted"
+  List.iter
+    (fun (name, build) ->
+      match build () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" name)
+    [
+      ("0 robots", fun () -> WS.kmsy ~m:2 ~k:0 ());
+      ("more robots than rays", fun () -> WS.kmsy ~m:2 ~k:3 ());
+      ("alpha <= 1", fun () -> WS.kmsy ~alpha:1. ~m:2 ~k:1 ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Turn_cost (Demaine-Fekete-Gal) *)
@@ -319,18 +312,18 @@ let plain_zigzag () =
        (Search_strategy.Turning.geometric ~scale:0.5 ~alpha:2. ()))
 
 let test_tc_reversal_count () =
-  let tr = plain_zigzag () in
-  check_int "no reversal before t=1" 0 (TC.reversals_before tr ~time:1.);
-  check_int "one strictly after the tip" 1 (TC.reversals_before tr ~time:1.5);
-  check_int "two by t=5" 2 (TC.reversals_before tr ~time:5.);
-  check_int "three by t=12" 3 (TC.reversals_before tr ~time:12.)
+  (* turns 1, 2, 4, ... from the origin: a target just past distance 1
+     on the first ray is found at time 1 + 3 + 3 = 7, after the two
+     reversals at times 1 and 4; at c = 10 that is the worst case (the
+     bracketing probes distance 1 + 1e-7, hence the tolerance) *)
+  let r = TC.worst_ratio [| plain_zigzag () |] ~f:0 ~turn_cost:10. ~n:100. () in
+  Alcotest.(check (float 1e-5)) "7 + 2 c" 27. r
 
 let test_tc_zero_cost_matches_engine () =
   let tr = [| cow () |] in
-  let target = W.point W.line ~ray:1 ~dist:1.5 in
-  let plain = Search_sim.Engine.detection_time_worst tr ~f:0 ~target ~horizon:100. in
-  let charged = TC.detection_cost tr ~f:0 ~turn_cost:0. ~target ~horizon:100. in
-  check_bool "c=0 is the plain model" true (plain = charged)
+  let plain = (Search_sim.Adversary.worst_case tr ~f:0 ~n:100. ()).Search_sim.Adversary.ratio in
+  let charged = TC.worst_ratio tr ~f:0 ~turn_cost:0. ~n:100. () in
+  checkf6 "c=0 is the plain model" plain charged
 
 let test_tc_cost_monotone_in_c () =
   let tr = [| cow () |] in
@@ -356,11 +349,12 @@ let test_tc_bases_converge_at_high_c () =
   check_bool "caught up at c=10" true (gap10 < 0.01)
 
 let test_tc_origin_charging () =
-  let tr = cow () in
+  let tr = [| cow () |] in
   (* with origin charging, ray changes through 0 also count *)
-  let without = TC.reversals_before tr ~time:12. in
-  let with_ = TC.reversals_before ~charge_origin:true tr ~time:12. in
-  check_bool "origin charges add" true (with_ > without)
+  let ratio charge_origin =
+    TC.worst_ratio ~charge_origin tr ~f:0 ~turn_cost:1. ~n:100. ()
+  in
+  check_bool "origin charges add" true (ratio true > ratio false)
 
 (* ------------------------------------------------------------------ *)
 (* Stochastic (Bellman-Beck) *)
@@ -498,36 +492,6 @@ let prop_krt_expected_between_1_and_9 =
       let r = R.expected_ratio_exact ~beta ~x ~grid:200 in
       1. < r && r < 12.)
 
-let prop_ws_work_additive =
-  (* total work after i moves equals the sum of star-metric distances *)
-  QCheck2.Test.make ~count:50 ~name:"work accumulates star distances"
-    QCheck2.Gen.(list_size (int_range 1 10) (pair (int_range 0 1) (float_range 0.5 20.)))
-    (fun specs ->
-      let w = W.rays 2 in
-      let arr = Array.of_list specs in
-      let n = Array.length arr in
-      let sched =
-        WS.make ~world:w ~robots:1 (fun i ->
-            let ray, dist = arr.((i - 1) mod n) in
-            { WS.robot = 0; target = W.point w ~ray ~dist })
-      in
-      (* compute expected work for the full first cycle by folding *)
-      let expected, _ =
-        Array.fold_left
-          (fun (acc, pos) (ray, dist) ->
-            let p = W.point w ~ray ~dist in
-            (acc +. W.travel_distance pos p, p))
-          (0., W.origin) arr
-      in
-      (* an unreachable target forces the walk through all n moves *)
-      match
-        WS.work_to_visit sched
-          ~target:(W.point w ~ray:0 ~dist:1e9)
-          ~work_budget:expected
-      with
-      | None -> true (* consumed exactly the budget without finding it *)
-      | Some _ -> false)
-
 let prop_tc_ratio_ge_plain =
   QCheck2.Test.make ~count:30 ~name:"turn cost never decreases the ratio"
     QCheck2.Gen.(pair (float_range 1.5 3.5) (float_range 0. 4.))
@@ -552,10 +516,9 @@ let prop_st_quotient_bounded_by_worst_case =
       q <= 9.0 +. 1e-6)
 
 let properties =
-  List.map QCheck_alcotest.to_alcotest
+  Fixture.properties
     [
       prop_krt_expected_between_1_and_9;
-      prop_ws_work_additive;
       prop_tc_ratio_ge_plain;
       prop_st_quotient_bounded_by_worst_case;
     ]
@@ -595,7 +558,7 @@ let () =
       ( "work_schedule",
         [
           tc "single-robot anchor" `Quick test_ws_single_robot_anchor;
-          tc "concrete work" `Quick test_ws_work_to_visit_concrete;
+          tc "concrete work" `Quick test_ws_concrete_work;
           tc "budget exhaustion" `Quick test_ws_budget_exhaustion;
           tc "more robots help" `Quick test_ws_more_robots_help;
           tc "sequential beats parallel-charged" `Quick

@@ -32,18 +32,10 @@ let test_approx_eq_scale () =
   check_bool "large equal-ish" true (X.approx_eq 1e15 (1e15 +. 1.));
   check_bool "large different" false (X.approx_eq 1e15 (1.001e15))
 
-let test_is_finite () =
-  check_bool "one" true (X.is_finite 1.);
-  check_bool "zero" true (X.is_finite 0.);
-  check_bool "inf" false (X.is_finite infinity);
-  check_bool "nan" false (X.is_finite nan)
-
 let test_log_pow_conventions () =
   checkf "0^0 = 1 (log 0)" 0. (X.log_pow 0. 0.);
   checkf "x^0 = 1" 0. (X.log_pow 5. 0.);
   checkf "2^3" (3. *. log 2.) (X.log_pow 2. 3.)
-
-let test_sum () = checkf "sum" 6. (X.sum [ 1.; 2.; 3. ])
 
 (* ------------------------------------------------------------------ *)
 (* Kahan *)
@@ -62,7 +54,7 @@ let test_kahan_beats_naive () =
   let compensated = kahan_sum xs in
   let expected = 1. +. (float_of_int n *. tiny) in
   Alcotest.(check (float 1e-18)) "compensated is exact" expected compensated;
-  let naive = X.sum xs in
+  let naive = List.fold_left ( +. ) 0. xs in
   check_bool "naive loses precision" true (naive < expected)
 
 let test_kahan_alternating () =
@@ -73,22 +65,15 @@ let test_kahan_alternating () =
 (* ------------------------------------------------------------------ *)
 (* Root *)
 
-let test_bisect_linear () =
-  checkf "root of x-1" 1. (Root.bisect ~f:(fun x -> x -. 1.) 0. 5.)
-
-let test_bisect_endpoint_roots () =
-  checkf "root at lo" 2. (Root.bisect ~f:(fun x -> x -. 2.) 2. 5.);
-  checkf "root at hi" 5. (Root.bisect ~f:(fun x -> x -. 5.) 2. 5.)
-
-let test_bisect_no_bracket () =
+let test_brent_no_bracket () =
   Alcotest.check_raises "same sign raises"
     (Search_numerics.Search_error.Error
        (Search_numerics.Search_error.Invalid_input
           {
-            where = "Root.bisect";
+            where = "Root.brent";
             what = "f(1)=1 and f(2)=2 have the same sign";
           }))
-    (fun () -> ignore (Root.bisect ~f:(fun x -> x) 1. 2.))
+    (fun () -> ignore (Root.brent ~f:(fun x -> x) 1. 2.))
 
 let test_brent_polynomial () =
   (* x^3 - 2x - 5 has a root near 2.0945514815 *)
@@ -96,10 +81,9 @@ let test_brent_polynomial () =
   let r = Root.brent ~f 1. 3. in
   Alcotest.(check (float 1e-9)) "cubic root" 2.0945514815423265 r
 
-let test_brent_agrees_with_bisect () =
+let test_brent_log3 () =
   let f x = exp x -. 3. in
-  let a = Root.bisect ~f 0. 2. and b = Root.brent ~f 0. 2. in
-  Alcotest.(check (float 1e-9)) "agree" a b
+  Alcotest.(check (float 1e-9)) "root is log 3" (log 3.) (Root.brent ~f 0. 2.)
 
 let test_brent_transcendental () =
   (* the cow-path fixed point: 2 a^2/(a-1) minimal at a = 2, check root of
@@ -130,46 +114,17 @@ let test_grid_then_golden () =
 (* ------------------------------------------------------------------ *)
 (* Rational *)
 
+(* [approximations_above] is the one constructor: its first element is
+   [ceil (2 target) / 2] in lowest terms. *)
+let first_above target =
+  List.hd (Rational.approximations_above ~target ~count:1)
+
 let test_rational_normalisation () =
-  let r = Rational.make 6 4 in
-  check_int "num" 3 (Rational.num r);
-  check_int "den" 2 (Rational.den r);
-  let r = Rational.make 3 (-6) in
-  check_int "sign moves to num" (-1) (Rational.num r);
-  check_int "den positive" 2 (Rational.den r)
+  let r = first_above 3. in
+  check_int "6/2 reduces: num" 3 (Rational.num r);
+  check_int "den" 1 (Rational.den r)
 
-let test_rational_arith () =
-  let open Rational in
-  let half = make 1 2 and third = make 1 3 in
-  check_bool "1/2 + 1/3 = 5/6" true (equal (add half third) (make 5 6));
-  check_bool "1/2 - 1/3 = 1/6" true (equal (sub half third) (make 1 6));
-  check_bool "1/2 * 1/3 = 1/6" true (equal (mul half third) (make 1 6));
-  check_bool "1/2 / 1/3 = 3/2" true (equal (div half third) (make 3 2));
-  check_bool "neg" true (equal (neg half) (make (-1) 2));
-  check_bool "inv" true (equal (inv third) (make 3 1));
-  check_bool "abs" true (equal (abs (make (-3) 4)) (make 3 4))
-
-let test_rational_compare () =
-  let open Rational in
-  check_bool "1/2 < 2/3" true (make 1 2 < make 2 3);
-  check_bool "le refl" true (make 1 2 <= make 1 2);
-  check_int "compare eq" 0 (Rational.compare (make 2 4) (make 1 2))
-
-let test_rational_zero_division () =
-  Alcotest.check_raises "make x 0" Rational.Division_by_zero_rational (fun () ->
-      ignore (Rational.make 1 0));
-  Alcotest.check_raises "inv zero" Rational.Division_by_zero_rational (fun () ->
-      ignore (Rational.inv Rational.zero))
-
-let test_rational_to_float () =
-  checkf "3/4" 0.75 (Rational.to_float (Rational.make 3 4))
-
-let test_rational_of_float () =
-  let r = Rational.of_float_approx 0.75 in
-  check_bool "3/4 recovered" true (Rational.equal r (Rational.make 3 4));
-  let pi = Rational.of_float_approx ~max_den:1000 Float.pi in
-  check_bool "pi approx close" true
-    (Float.abs (Rational.to_float pi -. Float.pi) < 1e-5)
+let test_rational_to_float () = checkf "3/2" 1.5 (Rational.to_float (first_above 1.5))
 
 let test_rational_approximations_above () =
   let target = 2.3 in
@@ -189,13 +144,13 @@ let test_rational_approximations_above () =
   (* an exactly-rational target is reached and the sequence stops *)
   let exact = Rational.approximations_above ~target:1.5 ~count:6 in
   check_bool "exact target found" true
-    (List.exists (fun r -> Rational.equal r (Rational.make 3 2)) exact)
+    (List.exists (fun r -> Rational.num r = 3 && Rational.den r = 2) exact)
 
 let test_rational_pp () =
   Alcotest.(check string) "fraction" "3/2"
-    (Format.asprintf "%a" Rational.pp (Rational.make 3 2));
-  Alcotest.(check string) "integer" "4"
-    (Format.asprintf "%a" Rational.pp (Rational.make 8 2))
+    (Format.asprintf "%a" Rational.pp (first_above 1.5));
+  Alcotest.(check string) "integer" "3"
+    (Format.asprintf "%a" Rational.pp (first_above 3.))
 
 (* ------------------------------------------------------------------ *)
 (* Interval1 *)
@@ -214,39 +169,6 @@ let test_interval_constructors () =
   Alcotest.check_raises "open empty"
     (Invalid_argument "Interval1.make: lo >= hi (open)") (fun () ->
       ignore (I.left_open 1. 1.))
-
-let test_interval_length_empty () =
-  checkf "length" 2. (I.length (I.closed 1. 3.));
-  check_bool "closed point not empty" false (I.is_empty (I.closed 2. 2.));
-  check_bool "open nonempty" false (I.is_empty (I.left_open 1. 2.))
-
-let test_interval_intersects () =
-  check_bool "overlap" true (I.intersects (I.closed 1. 3.) (I.closed 2. 4.));
-  check_bool "touch closed-closed" true
-    (I.intersects (I.closed 1. 2.) (I.closed 2. 3.));
-  check_bool "touch open start misses" false
-    (I.intersects (I.left_open 2. 3.) (I.closed 1. 2.));
-  check_bool "disjoint" false (I.intersects (I.closed 1. 2.) (I.closed 3. 4.))
-
-let test_interval_subset () =
-  check_bool "inside" true (I.subset (I.closed 2. 3.) (I.closed 1. 4.));
-  check_bool "same" true (I.subset (I.closed 1. 4.) (I.closed 1. 4.));
-  check_bool "closed not in open at end" false
-    (I.subset (I.closed 1. 2.) (I.left_open 1. 4.));
-  check_bool "open in closed" true (I.subset (I.left_open 1. 2.) (I.closed 1. 4.))
-
-let test_interval_truncate_left () =
-  let iv = I.closed 1. 3. in
-  (match I.truncate_left iv 2. with
-  | Some t ->
-      check_bool "now open at 2" true (not (I.mem 2. t));
-      check_bool "contains 2.5" true (I.mem 2.5 t)
-  | None -> Alcotest.fail "unexpected None");
-  check_bool "truncate before keeps" true
-    (match I.truncate_left iv 0.5 with
-    | Some t -> I.compare_by_left t iv = 0
-    | None -> false);
-  check_bool "truncate past end = None" true (I.truncate_left iv 3. = None)
 
 let test_interval_compare_by_left () =
   let a = I.closed 1. 5. and b = I.left_open 1. 5. and c = I.closed 2. 3. in
@@ -352,16 +274,6 @@ let test_lazy_seq_partial_sums () =
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
-
-let test_stats_basic () =
-  let t = List.fold_left Stats.add Stats.empty [ 1.; 2.; 3.; 4. ] in
-  check_int "count" 4 (Stats.count t);
-  checkf "mean" 2.5 (Stats.mean t)
-
-let test_stats_empty_raises () =
-  Alcotest.check_raises "mean of empty"
-    (Invalid_argument "Stats.mean: empty summary") (fun () ->
-      ignore (Stats.mean Stats.empty))
 
 let test_stats_sup () =
   let s = Stats.sup_empty in
@@ -699,31 +611,6 @@ let prop_kahan_matches_exact =
       Float.abs (k -. reference)
       <= 1e-6 *. Float.max 1. (Float.abs reference))
 
-let prop_rational_add_commutes =
-  let gen =
-    QCheck2.Gen.(
-      pair (pair (int_range (-1000) 1000) (int_range 1 1000))
-        (pair (int_range (-1000) 1000) (int_range 1 1000)))
-  in
-  QCheck2.Test.make ~count:500 ~name:"rational add commutes" gen
-    (fun ((a, b), (c, d)) ->
-      let x = Rational.make a b and y = Rational.make c d in
-      Rational.equal (Rational.add x y) (Rational.add y x))
-
-let prop_rational_mul_inverse =
-  let gen = QCheck2.Gen.(pair (int_range 1 1000) (int_range 1 1000)) in
-  QCheck2.Test.make ~count:500 ~name:"r * 1/r = 1" gen (fun (a, b) ->
-      let r = Rational.make a b in
-      Rational.equal (Rational.mul r (Rational.inv r)) Rational.one)
-
-let prop_rational_float_roundtrip =
-  let gen = QCheck2.Gen.(pair (int_range (-999) 999) (int_range 1 999)) in
-  QCheck2.Test.make ~count:300 ~name:"of_float_approx recovers small rationals"
-    gen (fun (a, b) ->
-      let r = Rational.make a b in
-      let r' = Rational.of_float_approx ~max_den:10_000 (Rational.to_float r) in
-      Rational.equal r r')
-
 let prop_brent_finds_root =
   QCheck2.Test.make ~count:200 ~name:"brent finds root of shifted cubic"
     QCheck2.Gen.(float_range (-5.) 5.)
@@ -760,29 +647,14 @@ let prop_sweep_profile_partitions =
       in
       contiguous 0. profile)
 
-let prop_interval_truncate_subset =
-  let gen =
-    QCheck2.Gen.(pair (pair (float_range 0. 5.) (float_range 5.1 10.)) (float_range 0. 12.))
-  in
-  QCheck2.Test.make ~count:300 ~name:"truncate_left yields subset" gen
-    (fun ((lo, hi), x) ->
-      let iv = I.closed lo hi in
-      match I.truncate_left iv x with
-      | None -> x >= hi
-      | Some t -> I.subset t iv)
-
 let properties =
-  List.map QCheck_alcotest.to_alcotest
+  Fixture.properties
     [
       prop_json_roundtrip;
       prop_json_pretty_roundtrip;
       prop_kahan_matches_exact;
-      prop_rational_add_commutes;
-      prop_rational_mul_inverse;
-      prop_rational_float_roundtrip;
       prop_brent_finds_root;
       prop_sweep_profile_partitions;
-      prop_interval_truncate_subset;
       prop_float_render_matches_printf;
     ]
 
@@ -794,9 +666,7 @@ let () =
         [
           tc "approx_eq basic" `Quick test_approx_eq_basic;
           tc "approx_eq scale" `Quick test_approx_eq_scale;
-          tc "is_finite" `Quick test_is_finite;
           tc "log_pow conventions" `Quick test_log_pow_conventions;
-          tc "sum" `Quick test_sum;
         ] );
       ( "kahan",
         [
@@ -806,11 +676,9 @@ let () =
         ] );
       ( "root",
         [
-          tc "bisect linear" `Quick test_bisect_linear;
-          tc "bisect endpoint roots" `Quick test_bisect_endpoint_roots;
-          tc "bisect no bracket" `Quick test_bisect_no_bracket;
+          tc "brent no bracket" `Quick test_brent_no_bracket;
           tc "brent polynomial" `Quick test_brent_polynomial;
-          tc "brent agrees with bisect" `Quick test_brent_agrees_with_bisect;
+          tc "brent matches log 3" `Quick test_brent_log3;
           tc "brent transcendental" `Quick test_brent_transcendental;
         ] );
       ( "minimize",
@@ -822,11 +690,7 @@ let () =
       ( "rational",
         [
           tc "normalisation" `Quick test_rational_normalisation;
-          tc "arithmetic" `Quick test_rational_arith;
-          tc "compare" `Quick test_rational_compare;
-          tc "zero division" `Quick test_rational_zero_division;
           tc "to_float" `Quick test_rational_to_float;
-          tc "of_float" `Quick test_rational_of_float;
           tc "approximations above" `Quick test_rational_approximations_above;
           tc "pp" `Quick test_rational_pp;
         ] );
@@ -834,10 +698,6 @@ let () =
         [
           tc "mem" `Quick test_interval_mem;
           tc "constructors" `Quick test_interval_constructors;
-          tc "length/empty" `Quick test_interval_length_empty;
-          tc "intersects" `Quick test_interval_intersects;
-          tc "subset" `Quick test_interval_subset;
-          tc "truncate_left" `Quick test_interval_truncate_left;
           tc "compare_by_left" `Quick test_interval_compare_by_left;
         ] );
       ( "sweep",
@@ -861,8 +721,6 @@ let () =
         ] );
       ( "stats",
         [
-          tc "basic" `Quick test_stats_basic;
-          tc "empty raises" `Quick test_stats_empty_raises;
           tc "sup tracking" `Quick test_stats_sup;
           tc "sup NaN raises" `Quick test_stats_sup_nan_raises;
           tc "sup infinity legal" `Quick test_stats_sup_infinity_legal;

@@ -16,6 +16,7 @@ module Chaos = Search_resilience.Chaos
 module Retry = Search_resilience.Retry
 module Json = Search_numerics.Json
 module E = Search_numerics.Search_error
+module Runtime = Search_serve.Runtime
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -511,7 +512,91 @@ let test_dispatch_cache_accounting () =
     && stats.P.pool.P.submitted = stats.P.pool.P.settled)
 
 (* ------------------------------------------------------------------ *)
+(* socket-path ownership: one contract, real and simulated runtimes *)
+
+(* What [listen] does at [path] after [setup] prepared it: "listens", or
+   the typed refusal.  A listener [setup] holds open (the live case) is
+   closed and its path unlinked afterwards. *)
+let listen_outcome (type fd) (ops : fd Runtime.ops) ~path setup =
+  let held = setup () in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter
+        (fun l ->
+          ops.Runtime.close l;
+          ops.Runtime.unlink path)
+        held)
+    (fun () ->
+      match ops.Runtime.listen ~path with
+      | fd ->
+          ops.Runtime.close fd;
+          ops.Runtime.unlink path;
+          "listens"
+      | exception E.Error e -> E.to_string e)
+
+let check_listen_cases (type fd) runtime (ops : fd Runtime.ops) ~path =
+  List.iter
+    (fun (name, setup, expected) ->
+      check_string (runtime ^ ": " ^ name) expected
+        (listen_outcome ops ~path setup))
+    [
+      ("free path", (fun () -> None), "listens");
+      ( "live socket",
+        (fun () -> Some (ops.Runtime.listen ~path)),
+        Printf.sprintf "[io-failure] %s: bind: address already in use" path );
+      ( "stale socket",
+        (fun () ->
+          ops.Runtime.close (ops.Runtime.listen ~path);
+          None),
+        "listens" );
+    ]
+
+let test_listen_owns_only_its_socket () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fs-claim-test-%d.sock" (Unix.getpid ()))
+  in
+  check_listen_cases "unix" Runtime.unix ~path;
+  let sim = Search_dst.Sim.create ~prng:(Search_numerics.Prng.make ~seed:1) in
+  let net =
+    Search_dst.Net.create ~sim ~prng:(Search_numerics.Prng.make ~seed:2)
+      ~faults:false
+  in
+  check_listen_cases "dst" (Search_dst.Net.ops net) ~path;
+  (* a regular file is refused and left byte-identical (the simulated
+     network has no files) *)
+  let contents = "not a socket\n" in
+  Fixture.write_file path contents;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check_string "unix: regular file"
+        (Printf.sprintf "[invalid-input] listen: %s exists and is not a socket"
+           path)
+        (listen_outcome Runtime.unix ~path (fun () -> None));
+      let ic = open_in_bin path in
+      let after =
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      check_string "regular file untouched" contents after)
+
+(* ------------------------------------------------------------------ *)
 (* end-to-end over a real socket *)
+
+(* Wait until the daemon accepts connections.  The socket file appears
+   at [bind], one syscall before [listen], so polling for the file races
+   a connect into ECONNREFUSED; a successful probe connect does not. *)
+let await_listening sock =
+  let rec go tries =
+    match Client.connect ~socket_path:sock () with
+    | c -> Client.close c
+    | exception E.Error (E.Io_failure _) when tries > 0 ->
+        Unix.sleepf 0.02;
+        go (tries - 1)
+  in
+  go 250
 
 let test_server_end_to_end () =
   let sock =
@@ -523,20 +608,12 @@ let test_server_end_to_end () =
   let stop = Atomic.make false in
   let config = Server.config ~socket_path:sock () in
   let server = Domain.spawn (fun () -> Server.run config ~dispatch ~stop) in
-  let rec await_socket tries =
-    if tries <= 0 then Alcotest.fail "server did not come up"
-    else if Sys.file_exists sock then ()
-    else begin
-      Unix.sleepf 0.02;
-      await_socket (tries - 1)
-    end
-  in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
       Domain.join server)
     (fun () ->
-      await_socket 250;
+      await_listening sock;
       Client.with_client ~socket_path:sock (fun c ->
           (* single call *)
           let id, resp = Client.call c ~id:3 (P.Bound { m = 2; k = 3; f = 1 }) in
@@ -588,15 +665,7 @@ let test_server_teardown_closes_connection_fds () =
     let stop = Atomic.make false in
     let config = Server.config ~socket_path:sock () in
     let server = Domain.spawn (fun () -> Server.run config ~dispatch ~stop) in
-    let rec await_socket tries =
-      if tries <= 0 then Alcotest.fail "server did not come up"
-      else if Sys.file_exists sock then ()
-      else begin
-        Unix.sleepf 0.02;
-        await_socket (tries - 1)
-      end
-    in
-    await_socket 250;
+    await_listening sock;
     (* three clients, all still connected when the server stops *)
     let clients =
       List.init 3 (fun i ->
@@ -624,20 +693,12 @@ let test_server_rejects_malformed_frame () =
   let stop = Atomic.make false in
   let config = Server.config ~socket_path:sock () in
   let server = Domain.spawn (fun () -> Server.run config ~dispatch ~stop) in
-  let rec await_socket tries =
-    if tries <= 0 then Alcotest.fail "server did not come up"
-    else if Sys.file_exists sock then ()
-    else begin
-      Unix.sleepf 0.02;
-      await_socket (tries - 1)
-    end
-  in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
       Domain.join server)
     (fun () ->
-      await_socket 250;
+      await_listening sock;
       (* garbage JSON inside a well-formed frame: structured error back,
          connection stays up for the next (valid) request *)
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -733,5 +794,7 @@ let () =
             test_server_teardown_closes_connection_fds;
           tc "malformed frames get structured errors" `Quick
             test_server_rejects_malformed_frame;
+          tc "listen owns only its own socket" `Quick
+            test_listen_owns_only_its_socket;
         ] );
     ]

@@ -916,23 +916,6 @@ let prop_first_visit_is_min_of_visits =
       | Some t, x :: _ -> Float.equal t x
       | _ -> false)
 
-let prop_detection_monotone_in_f =
-  QCheck2.Test.make ~count:60 ~name:"detection time monotone in f" gen_turns
-    (fun turns ->
-      let trs =
-        Array.init 3 (fun r ->
-            Tr.compile
-              (It.of_line_turns (fun i ->
-                   (1. +. (0.3 *. float_of_int r)) *. turns i)))
-      in
-      let target = W.point W.line ~ray:0 ~dist:2.1 in
-      let t f = Engine.detection_time_worst trs ~f ~target ~horizon:1e4 in
-      match (t 0, t 1, t 2) with
-      | Some a, Some b, Some c -> a <= b && b <= c
-      | Some _, Some _, None | Some _, None, None -> true
-      | _ -> false)
-
-
 let prop_exact_vs_scan_random_groups =
   (* the exact piecewise-affine supremum dominates the bracketing scan
      and agrees with it to scan precision, on random staggered groups *)
@@ -957,13 +940,12 @@ let prop_exact_vs_scan_random_groups =
       | a, b -> a = b)
 
 let properties =
-  List.map QCheck_alcotest.to_alcotest
+  Fixture.properties
     [
       prop_unit_speed;
       prop_exact_vs_scan_random_groups;
       prop_position_continuous;
       prop_first_visit_is_min_of_visits;
-      prop_detection_monotone_in_f;
     ]
 
 let () =

@@ -40,22 +40,11 @@ let test_turning_of_list_then () =
   checkf "prefix" 5. (Turning.get t 1);
   checkf "tail" 30. (Turning.get t 3)
 
-let test_turning_constant_then_geometric () =
-  let t = Turning.constant_then_geometric ~first:3. ~alpha:2. in
-  checkf "first" 3. (Turning.get t 1);
-  checkf "second" 6. (Turning.get t 2)
-
 let test_turning_nondecreasing () =
   check_bool "geometric is nondecreasing" true
     (Turning.nondecreasing_prefix doubling ~n:10);
   let bad = Turning.of_list_then [ 2.; 1. ] (fun i -> float_of_int i) in
   check_bool "decreasing detected" false (Turning.nondecreasing_prefix bad ~n:2)
-
-let test_turning_scale () =
-  let t = Turning.scale doubling 3. in
-  checkf "scaled" 3. (Turning.get t 1);
-  Alcotest.check_raises "bad scale" (Invalid_argument "Turning.scale: need c > 0")
-    (fun () -> ignore (Turning.scale doubling 0.))
 
 let test_turning_negative_rejected () =
   let t = Turning.of_fun (fun i -> if i = 2 then -1. else 1.) in
@@ -63,11 +52,6 @@ let test_turning_negative_rejected () =
   match Turning.get t 2 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative turning point accepted"
-
-let test_turning_map_indices () =
-  let t = Turning.map_indices doubling (fun i -> 2 * i) in
-  checkf "even subsequence" 2. (Turning.get t 1);
-  checkf "second" 8. (Turning.get t 2)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled (flat-array) view: must replay the lazy view bit for bit *)
@@ -416,17 +400,6 @@ let test_mray_coverage_theorem_exact () =
         (Mray.coverage_multiplicity_by_residue s))
     [ (2, 1, 0); (2, 3, 1); (2, 5, 2); (3, 2, 1); (4, 3, 1); (5, 4, 0) ]
 
-let prop_mray_coverage_theorem =
-  QCheck2.Test.make ~count:60 ~name:"coverage theorem on random instances"
-    (QCheck2.Gen.(
-       let* m = int_range 2 7 in
-       let* f = int_range 0 4 in
-       let q = m * (f + 1) in
-       let* k = int_range (f + 1) (q - 1) in
-       return (m, k, f)))
-    (fun (m, k, f) ->
-      Mray.coverage_theorem_holds (Mray.make (P.make ~m ~k ~f)))
-
 let test_mray_custom_alpha_worse () =
   let p = P.line ~k:3 ~f:1 in
   let s = Mray.make ~alpha:2.2 p in
@@ -437,7 +410,7 @@ let test_mray_custom_alpha_worse () =
 (* Cyclic / Baseline *)
 
 let test_cyclic_requires_k_lt_m () =
-  match Cyclic.make ~m:3 ~k:3 () with
+  match Cyclic.itineraries ~m:3 ~k:3 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "k = m accepted"
 
@@ -473,18 +446,6 @@ let test_baseline_replicated_tolerates_faults () =
   check_bool "ratio 9 despite f=2" true
     (Float.abs (out.Search_sim.Adversary.ratio -. 9.) < 0.01)
 
-let test_baseline_sweeper () =
-  let its = Baseline.lone_rays_plus_sweeper ~m:3 ~k:2 in
-  check_int "two robots" 2 (Array.length its);
-  let trs = Array.map Tr.compile its in
-  let out = Search_sim.Adversary.worst_case trs ~f:0 ~n:200. () in
-  (* robot 0 covers ray 0 at ratio 1; the sweeper doubles between rays 1
-     and 2 at ratio <= 9; overall a valid (if time-suboptimal) strategy *)
-  check_bool "finite ratio" true (out.Search_sim.Adversary.ratio < 9.1);
-  (* but worse than the optimal A(3,2,0) *)
-  check_bool "worse than optimal" true
-    (out.Search_sim.Adversary.ratio > F.a_mray ~m:3 ~k:2 ~f:0)
-
 (* ------------------------------------------------------------------ *)
 (* Group *)
 
@@ -496,11 +457,6 @@ let test_group_optimal_dispatch () =
   match Group.optimal (P.line ~k:2 ~f:2) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unsolvable accepted"
-
-let test_group_line_zigzags () =
-  let its = Group.line_zigzags ~labels:[| "a"; "b" |] [| doubling; doubling |] in
-  check_int "two" 2 (Array.length its);
-  Alcotest.(check string) "label" "a" (It.label its.(0))
 
 (* ------------------------------------------------------------------ *)
 (* properties *)
@@ -569,10 +525,9 @@ let prop_orc_cover_iff_interval =
       in_some_interval = timely_visit)
 
 let properties =
-  List.map QCheck_alcotest.to_alcotest
+  Fixture.properties
     [
       prop_mray_line_simulated_at_most_bound;
-      prop_mray_coverage_theorem;
       prop_formula_vs_motion;
       prop_orc_cover_iff_interval;
     ]
@@ -585,11 +540,8 @@ let () =
         [
           tc "geometric" `Quick test_turning_geometric;
           tc "of_list_then" `Quick test_turning_of_list_then;
-          tc "constant then geometric" `Quick test_turning_constant_then_geometric;
           tc "nondecreasing check" `Quick test_turning_nondecreasing;
-          tc "scale" `Quick test_turning_scale;
           tc "negative rejected" `Quick test_turning_negative_rejected;
-          tc "map indices" `Quick test_turning_map_indices;
           tc "compiled basic" `Quick test_compiled_basic;
           tc "compiled negative rejected" `Quick
             test_compiled_negative_rejected;
@@ -647,12 +599,10 @@ let () =
           tc "partition regime check" `Quick test_baseline_partition_rejects_searching;
           tc "replication tolerates faults" `Quick
             test_baseline_replicated_tolerates_faults;
-          tc "sweeper" `Quick test_baseline_sweeper;
         ] );
       ( "group",
         [
           tc "dispatch" `Quick test_group_optimal_dispatch;
-          tc "line zigzags" `Quick test_group_line_zigzags;
         ] );
       ("properties", properties);
     ]
