@@ -301,10 +301,9 @@ let () =
                gc_results) );
       ]
   in
-  let oc = open_out !out_path in
-  output_string oc (FS.Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  Out_channel.with_open_text !out_path (fun oc ->
+      output_string oc (FS.Json.to_string ~pretty:true json);
+      output_char oc '\n');
   if not !no_history then begin
     let metrics = FS.Metrics.create ~jobs:1 () in
     List.iter

@@ -128,11 +128,14 @@ type conn = {
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("serve_load: " ^ s); exit 1) fmt
 
-let connect path =
+(* The connection record owns the descriptor; a refused connect closes
+   it before exiting. *)
+let[@releases] connect path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match Unix.connect fd (Unix.ADDR_UNIX path) with
   | () -> ()
   | exception Unix.Unix_error (err, _, _) ->
+      Unix.close fd;
       fail "cannot connect to %s: %s" path (Unix.error_message err));
   Unix.set_nonblock fd;
   {
@@ -326,10 +329,9 @@ let () =
         ("server_stats", stats_json);
       ]
   in
-  let oc = open_out o.out in
-  output_string oc (FS.Json.to_string ~pretty:true report);
-  output_char oc '\n';
-  close_out oc;
+  Out_channel.with_open_text o.out (fun oc ->
+      output_string oc (FS.Json.to_string ~pretty:true report);
+      output_char oc '\n');
   (match o.history with
   | None -> ()
   | Some path ->

@@ -18,8 +18,9 @@
    Context.  Each reference and mutation is recorded together with the
    list of top-level mutexes held at that program point — maintained by
    walking into the closure argument of [Mutex.protect m (fun () ->
-   ...)] (the only locking idiom the lock-discipline rule admits) —
-   which is exactly what the lockset pass needs. *)
+   ...)] (the locking idiom the tree uses; a bare [Mutex.lock] is an
+   escape-leak acquisition) — which is exactly what the lockset pass
+   needs. *)
 
 type reference = { target : string; rloc : Location.t; rheld : string list }
 
@@ -742,6 +743,17 @@ let summarize (u : Cmt_loader.unit_info) =
             List.concat_map (fun (_, _, p) -> pat_vars p) fields
         | _ -> []
       in
+      (* top-level code outside any named def joins [(init)] *)
+      let in_init e =
+        (current :=
+           match !init_acc with
+           | Some a -> a
+           | None ->
+               let a = fresh_acc () in
+               init_acc := Some a;
+               a);
+        it.Tast_iterator.expr it e
+      in
       let rec walk_items prefix items =
         List.iter (walk_item prefix) items
       and walk_item prefix (item : Typedtree.structure_item) =
@@ -751,17 +763,8 @@ let summarize (u : Cmt_loader.unit_info) =
               (fun (vb : Typedtree.value_binding) ->
                 match pat_vars vb.Typedtree.vb_pat with
                 | [] ->
-                    (* [let () = ...]: top-level effects join [(init)] *)
-                    let acc =
-                      match !init_acc with
-                      | Some a -> a
-                      | None ->
-                          let a = fresh_acc () in
-                          init_acc := Some a;
-                          a
-                    in
-                    current := acc;
-                    it.Tast_iterator.expr it vb.Typedtree.vb_expr
+                    (* [let () = ...] *)
+                    in_init vb.Typedtree.vb_expr
                 | (id0, name0) :: _ as vars ->
                     List.iter
                       (fun (id, nm) -> bind id (prefix ^ "." ^ nm))
@@ -789,16 +792,7 @@ let summarize (u : Cmt_loader.unit_info) =
                       ~attrs:vb.Typedtree.vb_attributes acc)
               vbs
         | Typedtree.Tstr_eval (e, _) ->
-            let acc =
-              match !init_acc with
-              | Some a -> a
-              | None ->
-                  let a = fresh_acc () in
-                  init_acc := Some a;
-                  a
-            in
-            current := acc;
-            it.Tast_iterator.expr it e
+            in_init e
         | Typedtree.Tstr_exception ext ->
             (* register the constructor so in-unit raise sites and
                handlers canonicalise to the same dotted name foreign
@@ -812,9 +806,7 @@ let summarize (u : Cmt_loader.unit_info) =
             walk_module_expr prefix None incl.Typedtree.incl_mod
         | _ -> ()
       and walk_module prefix (mb : Typedtree.module_binding) =
-        match mb.Typedtree.mb_id with
-        | None -> ()
-        | Some id -> walk_module_expr prefix (Some id) mb.Typedtree.mb_expr
+        walk_module_expr prefix mb.Typedtree.mb_id mb.Typedtree.mb_expr
       and walk_module_expr prefix id (me : Typedtree.module_expr) =
         match me.Typedtree.mod_desc with
         | Typedtree.Tmod_constraint (inner, _, _, _) ->
@@ -834,6 +826,13 @@ let summarize (u : Cmt_loader.unit_info) =
               | None -> prefix
             in
             walk_items sub_prefix sub.Typedtree.str_items
+        (* a functor body's defs are named like a structure's; an
+           applied functor or its argument is walked without aliasing
+           the result, so [Map.Make (String)] stays opaque *)
+        | Typedtree.Tmod_functor (_, body) -> walk_module_expr prefix id body
+        | Typedtree.Tmod_apply (f, arg, _) ->
+            walk_module_expr prefix None f;
+            walk_module_expr prefix None arg
         | _ -> ()
       and cell_of_binding (vb : Typedtree.value_binding) =
         match vb.Typedtree.vb_expr.Typedtree.exp_desc with

@@ -22,7 +22,9 @@ let typed_entries =
     {
       id = "deep-nondet";
       family = Deep;
-      doc = "taint chain from a nondeterminism source reaches pool-submitted code";
+      doc =
+        "def that uses or reaches a nondeterminism source (Random.*, wall \
+         clocks, Hashtbl.hash, Domain.self), with its call chain";
     };
     {
       id = "deep-race";

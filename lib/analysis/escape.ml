@@ -31,8 +31,9 @@
    The dominance check is function-granular by design — the analysis
    does not prove the [~finally] closes that very fd, it enforces the
    *shape* ([with_]-wrapper or audited transfer) every acquisition in
-   this tree is expected to take.  Scope: [lib/] and [bin/] (tests and
-   benches may leak into process teardown).
+   this tree is expected to take.  Scope: every linted directory — a
+   test or bench that leaks a channel or holds a mutex across a raise
+   is flagged like library code.
 
    Simulation hygiene ([escape-realio]).  Everything {!Flow.reach}
    finds from [lib/dst] (the deterministic-simulation bottle) and
@@ -207,12 +208,7 @@ let protect_wrappers = [ "Fun.protect"; "Mutex.protect" ]
 let leak_findings (g : Callgraph.t) =
   List.concat_map
     (fun (d : Callgraph.def) ->
-      if
-        not
-          (String.starts_with ~prefix:"lib/" d.Callgraph.file
-          || String.starts_with ~prefix:"bin/" d.Callgraph.file)
-        || d.Callgraph.releases
-      then []
+      if d.Callgraph.releases then []
       else
         let refs = d.Callgraph.refs in
         let has names =

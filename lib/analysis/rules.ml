@@ -44,24 +44,10 @@ let all =
       applies = everywhere;
     };
     {
-      id = "nondet";
-      severity = Finding.Error;
-      doc =
-        "ambient nondeterminism: Random.*, wall clocks, representation \
-         hashing";
-      applies = everywhere;
-    };
-    {
       id = "float-hygiene";
       severity = Finding.Error;
       doc = "NaN literals, unguarded float_of_string, division by 0.";
       applies = not_in_test;
-    };
-    {
-      id = "lock-discipline";
-      severity = Finding.Error;
-      doc = "bare Mutex.lock/unlock outside Mutex.protect/Fun.protect";
-      applies = everywhere;
     };
     {
       id = "unsafe-ops";
@@ -103,62 +89,33 @@ let finding ~file ?suggestion ~loc id message =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* ident rules: (rule, message, suggestion) for a resolved name        *)
+(* ident rules: the (rule, message, suggestion) a resolved name hits   *)
 
-let ident_hits name spelled =
+let ident_hit name spelled =
   match String.split_on_char '.' name with
-  | "Random" :: _ ->
-      [
-        ( "nondet",
-          Printf.sprintf "ambient PRNG %s breaks deterministic replay" spelled,
-          "draw from Search_numerics.Prng (splittable, replayable) instead" );
-      ]
-  | [ "Sys"; "time" ] | [ "Unix"; ("gettimeofday" | "time" | "times") ] ->
-      [
-        ( "nondet",
-          Printf.sprintf "wall-clock read %s is nondeterministic" spelled,
-          "time only inside Search_exec.Metrics, which never feeds results" );
-      ]
-  | [ "Hashtbl"; ("hash" | "seeded_hash" | "randomize") ] ->
-      [
-        ( "nondet",
-          Printf.sprintf "%s depends on runtime representation" spelled,
-          "hash with an explicit, versioned function" );
-      ]
   | [ "nan" ] | [ "Float"; "nan" ] ->
-      [
+      Some
         ( "float-hygiene",
           "literal NaN constructed",
           "model absence with option; NaN poisons comparisons and silently \
-           passes (<=) guards" );
-      ]
+           passes (<=) guards" )
   | [ "float_of_string" ] | [ "Float"; "of_string" ] ->
-      [
+      Some
         ( "float-hygiene",
           "unguarded float_of_string raises on bad input",
-          "use float_of_string_opt and handle the failure explicitly" );
-      ]
-  | [ "Mutex"; ("lock" | "unlock") ] ->
-      [
-        ( "lock-discipline",
-          Printf.sprintf "bare %s outside an unwind guard" spelled,
-          "wrap the critical section in Mutex.protect (or Fun.protect \
-           ~finally) so exceptions cannot leave the mutex held" );
-      ]
+          "use float_of_string_opt and handle the failure explicitly" )
   | [ "Obj"; ("magic" | "repr" | "obj") ] ->
-      [
+      Some
         ( "unsafe-ops",
           Printf.sprintf "%s defeats the type system" spelled,
-          "restructure so the types are honest" );
-      ]
+          "restructure so the types are honest" )
   | [ ("Array" | "String" | "Bytes" | "Float"); prim ]
     when String.starts_with ~prefix:"unsafe_" prim ->
-      [
+      Some
         ( "unsafe-ops",
           Printf.sprintf "%s skips bounds checks" spelled,
           "use the bounds-checked accessor; prove the win with bench/ \
-           before ever reconsidering" );
-      ]
+           before ever reconsidering" )
   | [ ( "print_string" | "print_endline" | "print_newline" | "print_char"
       | "print_int" | "print_float" | "print_bytes" | "prerr_string"
       | "prerr_endline" | "prerr_newline" | "prerr_char" | "stdout"
@@ -167,13 +124,12 @@ let ident_hits name spelled =
   | [ "Format";
       ("printf" | "eprintf" | "print_string" | "print_newline" | "print_flush")
     ] ->
-      [
+      Some
         ( "output-discipline",
           Printf.sprintf "direct console output via %s inside lib/" spelled,
           "library code returns data; route output through Report / Table / \
-           Event_log / Metrics, or take a Format.formatter" );
-      ]
-  | _ -> []
+           Event_log / Metrics, or take a Format.formatter" )
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* poly-compare                                                        *)
@@ -362,10 +318,10 @@ let check ~file (u : Cmt_loader.unit_info) =
   let strict = in_lib file in
   let un = Cmt_loader.unalias u in
   let ident p (lid : Longident.t Location.loc) =
-    List.iter
+    Option.iter
       (fun (id, message, suggestion) ->
         emit id ~loc:lid.loc ~suggestion message)
-      (ident_hits (resolved un p) (spelled lid));
+      (ident_hit (resolved un p) (spelled lid));
     Option.iter
       (fun (message, suggestion) ->
         emit "poly-compare" ~loc:lid.loc ~suggestion message)

@@ -6,20 +6,25 @@
     resolved path with one leading [Stdlib.] stripped, [poly-compare]
     reads operand types.  [mli-coverage] works from the discovered
     source list.  Rules are derived from this repo's actual failure
-    modes, and their union is the project's determinism and
-    numeric-safety contract.
+    modes; with the typed families they make up the project's
+    determinism and numeric-safety contract.
 
     Rule ids (stable, used in findings and [lint.allow]):
     - [poly-compare] — polymorphic [compare]/[=] hazards
-    - [nondet] — ambient nondeterminism ([Random], wall clocks, [Hashtbl.hash])
     - [float-hygiene] — NaN literals, unguarded [float_of_string], [/. 0.]
-    - [lock-discipline] — bare [Mutex.lock]/[unlock]
     - [unsafe-ops] — [Obj.magic], [unsafe_get]/[set], [%identity]
     - [output-discipline] — direct stdout/stderr printing inside [lib/]
     - [mli-coverage] — [lib/] modules without an interface file
     - [closed-variant-wildcard] — catch-all [_] in matches on closed
       domain variants
-    - [global-mutable-state] — top-level refs/tables in [lib/] *)
+    - [global-mutable-state] — top-level refs/tables in [lib/]
+
+    Nondeterminism sources and lock/resource release are not here: the
+    typed families decide them once, over the same units —
+    [deep-nondet] ({!Taint}) reports a def that reads [Random.*], a
+    clock or [Hashtbl.hash] at its first use, and [escape-leak]
+    ({!Escape}) reports a [Mutex.lock] with no release on raising
+    paths, in every directory. *)
 
 type rule = {
   id : string;

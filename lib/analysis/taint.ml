@@ -1,17 +1,18 @@
-(* Interprocedural nondeterminism taint.
+(* Interprocedural nondeterminism taint: the lint's one list of
+   nondeterminism sources.
 
-   Sources are the same clocks and PRNG entry points the per-file
-   [nondet] rule knows, but here a def is tainted when it *reaches* one
-   through any chain of top-level calls — the pure-looking helper three
-   calls away from [Random.int] gets reported too, with the full chain.
+   A def is tainted when it references a source itself — reported at
+   its first use — or *reaches* one through any chain of top-level
+   calls: the pure-looking helper three calls away from [Random.int]
+   gets reported too, with the full chain.
 
    Audited files (the [deep-nondet] entries in lint.allow: metrics,
-   budget, lockfile) are taint *barriers*: their defs still produce
-   findings — which the allowlist then suppresses, keeping the entries
-   visibly in use — but taint does not propagate through them to their
-   callers.  That is the audited-sink contract: a caller of
-   [Metrics.record] is not nondeterministic because the metrics file
-   timestamps itself.
+   clock, the test fixture and the two benches) are taint *barriers*:
+   their defs still produce findings — which the allowlist then
+   suppresses, keeping the entries visibly in use — but taint does not
+   propagate through them to their callers.  That is the audited-sink
+   contract: a caller of [Metrics.record] is not nondeterministic
+   because the metrics file timestamps itself.
 
    Marks propagate callee -> caller over references on {!Flow.fixpoint},
    so each recorded witness is a shortest chain. *)

@@ -2,9 +2,10 @@
 
     A def is tainted when it reaches [Random.*], [Sys.time],
     [Unix.gettimeofday]/[time]/[times], [Hashtbl.hash]/[seeded_hash]/
-    [randomize] or [Domain.self] through any chain of top-level calls.
-    Every tainted def yields one [deep-nondet] finding carrying a
-    shortest source→sink chain.
+    [randomize] or [Domain.self] directly or through any chain of
+    top-level calls.  Every tainted def yields one [deep-nondet]
+    finding carrying a shortest source→sink chain, at its first direct
+    use or at the call that starts the chain.
 
     [audited file] marks taint barriers (the audited-sink contract in
     lint.allow): defs in audited files are still reported — so the

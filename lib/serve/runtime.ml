@@ -62,19 +62,37 @@ let[@real_io] claim_socket_path path =
   | _ ->
       E.invalid ~where:"listen" (path ^ " exists and is not a socket")
 
+(* The socket is bound at a sibling temporary name and linked onto
+   [path] only once it listens, so the file at [path] means "accepting":
+   a client that waits for it never connects into ECONNREFUSED.  A link,
+   not a rename: a rename would replace a socket another daemon
+   published since [claim_socket_path], where [link] refuses as [bind]
+   did.  The temporary name is removed on every path. *)
 let[@real_io] [@releases] unix_listen ~path =
   claim_socket_path path;
+  let tmp = Printf.sprintf "%s.%d" path (Unix.getpid ()) in
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 128;
-    Unix.set_nonblock fd
-  with
-  | () -> fd
-  | exception Unix.Unix_error (err, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      E.raise_
-        (E.Io_failure { path; what = "bind: " ^ Unix.error_message err })
+  let fail err =
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    E.raise_ (E.Io_failure { path; what = "bind: " ^ Unix.error_message err })
+  in
+  match Unix.bind fd (Unix.ADDR_UNIX tmp) with
+  | exception Unix.Unix_error (err, _, _) -> fail err
+  | () -> (
+      let published =
+        match
+          Unix.listen fd 128;
+          Unix.set_nonblock fd;
+          Unix.link tmp path
+        with
+        | () -> Ok ()
+        | exception Unix.Unix_error (err, _, _) -> Error err
+      in
+      (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+      match published with
+      | Ok () -> fd
+      | Error Unix.EEXIST -> fail Unix.EADDRINUSE
+      | Error err -> fail err)
 
 let[@real_io] [@releases] unix_accept fd =
   match Unix.accept ~cloexec:true fd with

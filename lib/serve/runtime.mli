@@ -15,8 +15,9 @@
       replaced; a live one raises [Search_error.Error] ([Io_failure]
       "bind: address already in use"); anything else at [path] raises
       [Invalid_input] and is left untouched.  Other bind failures raise
-      [Io_failure].  [accept] on its result never blocks: [`Again] when
-      no connection is pending.
+      [Io_failure].  [path] names the endpoint only once it accepts: a
+      [connect] that finds the path is not refused.  [accept] on its
+      result never blocks: [`Again] when no connection is pending.
     - [read]/[write] are the non-blocking handlers the event loop uses:
       [`Again] means "would block, try after select"; [`Err] means the
       transport failed and the connection must be culled; [read] answers

@@ -56,6 +56,9 @@ let test_poly_compare () =
   check_bool "ident (=) in tests ok" false (hit "test/poly_eq.ml");
   check_bool "float (=) in tests flagged" true (hit "test/float_lit_eq.ml")
 
+(* Nondeterminism sources are decided by the typed taint alone: a def
+   that uses one directly is a [deep-nondet] finding at that use, in a
+   functor body or a functor argument too. *)
 let test_nondet () =
   with_ocamlc @@ fun () ->
   let fs =
@@ -65,12 +68,24 @@ let test_nondet () =
         ("lib/sim/systime.ml", "let t () = Sys.time ()\n");
         ("lib/sim/hash.ml", "let h x = Hashtbl.hash x\n");
         ("lib/sim/pure.ml", "let r () = 5\n");
+        ( "lib/sim/functor_rand.ml",
+          "module F (X : sig val n : int end) = struct\n\
+          \  let r () = Random.int X.n\n\
+           end\n" );
+        ( "lib/sim/functor_arg.ml",
+          "module S = Set.Make (struct\n\
+          \  type t = int\n\
+          \  let compare a b = ignore (Random.bool ()); Int.compare a b\n\
+           end)\n" );
       ]
   in
-  let hit = hits fs "nondet" in
+  let hit = hits fs "deep-nondet" in
   check_bool "Random" true (hit "lib/sim/rand.ml");
   check_bool "Sys.time" true (hit "lib/sim/systime.ml");
   check_bool "Hashtbl.hash" true (hit "lib/sim/hash.ml");
+  check_bool "Random in a functor body" true (hit "lib/sim/functor_rand.ml");
+  check_bool "Random in a functor argument" true
+    (hit "lib/sim/functor_arg.ml");
   check_bool "pure code ok" false (hit "lib/sim/pure.ml")
 
 let test_float_hygiene () =
@@ -87,21 +102,6 @@ let test_float_hygiene () =
   check_bool "nan literal" true (hit "lib/sim/nan_lit.ml");
   check_bool "unguarded float_of_string" true (hit "lib/sim/parse_float.ml");
   check_bool "float_of_string_opt ok" false (hit "lib/sim/parse_float_opt.ml")
-
-let test_lock_discipline () =
-  with_ocamlc @@ fun () ->
-  let fs =
-    lint
-      [
-        ("lib/exec/bare_lock.ml", "let f m = Mutex.lock m\n");
-        ("lib/exec/bare_unlock.ml", "let f m = Mutex.unlock m\n");
-        ("lib/exec/protected.ml", "let f m g = Mutex.protect m g\n");
-      ]
-  in
-  let hit = hits fs "lock-discipline" in
-  check_bool "bare lock" true (hit "lib/exec/bare_lock.ml");
-  check_bool "bare unlock" true (hit "lib/exec/bare_unlock.ml");
-  check_bool "Mutex.protect ok" false (hit "lib/exec/protected.ml")
 
 let test_unsafe_ops () =
   with_ocamlc @@ fun () ->
@@ -240,11 +240,11 @@ let test_cmt_stale () =
 let test_rule_selection () =
   with_ocamlc @@ fun () ->
   let only =
-    lint ~rules:[ "nondet" ]
+    lint ~rules:[ "deep-nondet" ]
       [ ("lib/sim/mixed.ml", "let eq (a : float) b = a = b\nlet r () = Random.int 5\n") ]
   in
-  check_bool "restricted to nondet" true
-    (List.for_all (fun f -> String.equal f.Finding.rule "nondet") only
+  check_bool "restricted to deep-nondet" true
+    (List.for_all (fun f -> String.equal f.Finding.rule "deep-nondet") only
     && only <> [])
 
 (* ------------------------------------------------------------------ *)
@@ -293,11 +293,11 @@ let test_allow_parse () =
       check_bool "listed pair permitted" true
         (Allow.permits t ~rule:"poly-compare" ~file:"lib/a.ml");
       check_bool "other rule same file" false
-        (Allow.permits t ~rule:"nondet" ~file:"lib/a.ml");
+        (Allow.permits t ~rule:"deep-nondet" ~file:"lib/a.ml");
       check_bool "wildcard rule" true
-        (Allow.permits t ~rule:"nondet" ~file:"lib/b.ml");
+        (Allow.permits t ~rule:"deep-nondet" ~file:"lib/b.ml");
       check_bool "unlisted file" false
-        (Allow.permits t ~rule:"nondet" ~file:"lib/c.ml")
+        (Allow.permits t ~rule:"deep-nondet" ~file:"lib/c.ml")
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -351,8 +351,7 @@ let test_driver_allowlist_filters () =
   let root = make_fixture_root () in
   Fixture.write_file
     (Filename.concat root "lint.allow")
-    "poly-compare lib/bad.ml\nnondet lib/bad.ml\nmli-coverage lib/bad.ml\n\
-     deep-nondet lib/bad.ml\n";
+    "poly-compare lib/bad.ml\nmli-coverage lib/bad.ml\ndeep-nondet lib/bad.ml\n";
   match Driver.load_allow ~root with
   | Error e -> Alcotest.failf "load_allow: %s" e
   | Ok allow ->
@@ -370,7 +369,6 @@ let () =
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "nondet" `Quick test_nondet;
           Alcotest.test_case "float-hygiene" `Quick test_float_hygiene;
-          Alcotest.test_case "lock-discipline" `Quick test_lock_discipline;
           Alcotest.test_case "unsafe-ops" `Quick test_unsafe_ops;
           Alcotest.test_case "output-discipline" `Quick test_output_discipline;
           Alcotest.test_case "mli-coverage" `Quick test_mli_coverage;

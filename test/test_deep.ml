@@ -204,14 +204,14 @@ let test_stale_detection () =
   let root = stale_fixture () in
   let allow =
     parse_allow
-      "nondet lib/x.ml\ndeep-nondet lib/x.ml\nnondet lib/unused.ml\n\
+      "deep-nondet lib/x.ml\nfloat-hygiene lib/unused.ml\n\
        deep-race lib/unused.ml\n"
   in
   let out = Driver.run ~jobs:1 ~allow ~root () in
   check_int "no surviving findings" 0 (List.length out.Driver.findings);
   Alcotest.(check (list (triple string string int)))
     "every family's unmatched entry is stale"
-    [ ("nondet", "lib/unused.ml", 3); ("deep-race", "lib/unused.ml", 4) ]
+    [ ("float-hygiene", "lib/unused.ml", 2); ("deep-race", "lib/unused.ml", 3) ]
     out.Driver.stale;
   check_int "clean tree + stale, default" 0 (Driver.exit_code out);
   check_int "clean tree + stale, strict" 1 (Driver.exit_code ~strict:true out)
@@ -223,7 +223,7 @@ let test_stale_scoped_to_rules () =
   let root = stale_fixture () in
   let allow =
     parse_allow
-      "nondet lib/x.ml\ndeep-nondet lib/x.ml\nnondet lib/unused.ml\n\
+      "deep-nondet lib/x.ml\nfloat-hygiene lib/unused.ml\n\
        deep-race lib/unused.ml\n"
   in
   let only rules = Driver.run ~jobs:1 ~rules ~allow ~root () in
@@ -235,7 +235,7 @@ let test_stale_scoped_to_rules () =
   let race_only = only [ "deep-race" ] in
   Alcotest.(check (list (triple string string int)))
     "only the selected rule's entries"
-    [ ("deep-race", "lib/unused.ml", 4) ]
+    [ ("deep-race", "lib/unused.ml", 3) ]
     race_only.Driver.stale;
   check_bool "an unknown id is rejected" true
     (match only [ "no-such-rule" ] with
@@ -285,7 +285,7 @@ let test_github_render () =
       suppressed = 0;
       files = 1;
       units = 0;
-      stale = [ ("nondet", "lib/unused.ml", 7) ];
+      stale = [ ("float-hygiene", "lib/unused.ml", 7) ];
       budget_stale = [ ("Gone.kernel", 3) ];
     }
   in

@@ -316,9 +316,7 @@ let test_metrics_write_merges () =
   let m1' = Metrics.create ~jobs:1 () in
   Metrics.record m1' ~experiment:"T1" ~seconds:0.9;
   Metrics.write m1' ~path;
-  let ic = open_in path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let contents = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
   match Search_numerics.Json.of_string contents with
   | Ok (Search_numerics.Json.List entries) ->
@@ -361,9 +359,7 @@ let test_metrics_concurrent_writes () =
   let d1 = writer 1 and d4 = writer 4 in
   Domain.join d1;
   Domain.join d4;
-  let ic = open_in path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let contents = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
   (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
   match Search_numerics.Json.of_string contents with

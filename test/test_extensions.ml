@@ -154,9 +154,7 @@ let test_prng_split_stream_independence () =
 let test_csv_escape () =
   let path = Filename.temp_file "fsearch" ".csv" in
   Csv.write ~path ~header:[ "abc"; "a,b"; "a\"b" ] ~rows:[];
-  let ic = open_in path in
-  let header = input_line ic in
-  close_in ic;
+  let header = In_channel.with_open_text path input_line in
   Sys.remove path;
   Alcotest.(check string)
     "plain, comma, quote" "abc,\"a,b\",\"a\"\"b\"" header
@@ -165,9 +163,10 @@ let test_csv_write_roundtrip () =
   let path = Filename.temp_file "fsearch" ".csv" in
   Csv.write ~path ~header:[ "x"; "y" ]
     ~rows:[ [ "1"; "2" ]; [ "3"; "4,5" ] ];
-  let ic = open_in path in
-  let lines = List.init 3 (fun _ -> input_line ic) in
-  close_in ic;
+  let lines =
+    In_channel.with_open_text path (fun ic ->
+        List.init 3 (fun _ -> input_line ic))
+  in
   Sys.remove path;
   Alcotest.(check (list string)) "content" [ "x,y"; "1,2"; "3,\"4,5\"" ] lines
 

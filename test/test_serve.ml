@@ -534,11 +534,22 @@ let listen_outcome (type fd) (ops : fd Runtime.ops) ~path setup =
           "listens"
       | exception E.Error e -> E.to_string e)
 
+(* Names in [path]'s directory that extend its basename: the temporary
+   a listen binds before renaming it onto [path]. *)
+let listen_leftovers path =
+  let prefix = Filename.basename path ^ "." in
+  List.filter
+    (String.starts_with ~prefix)
+    (Array.to_list (Sys.readdir (Filename.dirname path)))
+
 let check_listen_cases (type fd) runtime (ops : fd Runtime.ops) ~path =
   List.iter
     (fun (name, setup, expected) ->
       check_string (runtime ^ ": " ^ name) expected
-        (listen_outcome ops ~path setup))
+        (listen_outcome ops ~path setup);
+      Alcotest.(check (list string))
+        (runtime ^ ": " ^ name ^ " leaves no temporary")
+        [] (listen_leftovers path))
     [
       ("free path", (fun () -> None), "listens");
       ( "live socket",
@@ -585,9 +596,8 @@ let test_listen_owns_only_its_socket () =
 (* ------------------------------------------------------------------ *)
 (* end-to-end over a real socket *)
 
-(* Wait until the daemon accepts connections.  The socket file appears
-   at [bind], one syscall before [listen], so polling for the file races
-   a connect into ECONNREFUSED; a successful probe connect does not. *)
+(* Wait until the daemon accepts connections: a successful probe
+   connect. *)
 let await_listening sock =
   let rec go tries =
     match Client.connect ~socket_path:sock () with

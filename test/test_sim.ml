@@ -859,10 +859,7 @@ let test_svg_write_roundtrip () =
   let svg = Svg.space_time ~time_max:10. trs in
   let path = Filename.temp_file "fsearch" ".svg" in
   Svg.write ~path svg;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
+  let content = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
   Alcotest.(check string) "roundtrip" svg content
 
