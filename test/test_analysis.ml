@@ -103,6 +103,39 @@ let test_float_hygiene () =
   check_bool "unguarded float_of_string" true (hit "lib/sim/parse_float.ml");
   check_bool "float_of_string_opt ok" false (hit "lib/sim/parse_float_opt.ml")
 
+(* Lock discipline is decided by [escape-leak] over every linted
+   directory: a [Mutex.lock] with no release on every path is a finding
+   at the lock, in a functor body and outside [lib/] too; [Mutex.protect]
+   and lock-then-[Fun.protect ~finally:unlock] are clean.  A lone
+   [Mutex.unlock] acquires nothing, so it is not a finding (DESIGN.md,
+   "Retired per-file rules"). *)
+let test_lock_discipline () =
+  with_ocamlc @@ fun () ->
+  let fs =
+    lint
+      [
+        ("lib/exec/bare_lock.ml", "let f m = Mutex.lock m\n");
+        ( "lib/exec/functor_lock.ml",
+          "module F (X : sig val m : Mutex.t end) = struct\n\
+          \  let f () = Mutex.lock X.m\n\
+           end\n" );
+        ("bench/bench_lock.ml", "let f m = Mutex.lock m\n");
+        ("lib/exec/bare_unlock.ml", "let f m = Mutex.unlock m\n");
+        ("lib/exec/protected.ml", "let f m g = Mutex.protect m g\n");
+        ( "lib/exec/guarded.ml",
+          "let f m g =\n\
+          \  Mutex.lock m;\n\
+          \  Fun.protect ~finally:(fun () -> Mutex.unlock m) g\n" );
+      ]
+  in
+  let hit = hits fs "escape-leak" in
+  check_bool "bare lock" true (hit "lib/exec/bare_lock.ml");
+  check_bool "bare lock in a functor body" true (hit "lib/exec/functor_lock.ml");
+  check_bool "bare lock in bench" true (hit "bench/bench_lock.ml");
+  check_bool "lone unlock acquires nothing" false (hit "lib/exec/bare_unlock.ml");
+  check_bool "Mutex.protect ok" false (hit "lib/exec/protected.ml");
+  check_bool "lock + Fun.protect unlock ok" false (hit "lib/exec/guarded.ml")
+
 let test_unsafe_ops () =
   with_ocamlc @@ fun () ->
   let fs =
@@ -369,6 +402,7 @@ let () =
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "nondet" `Quick test_nondet;
           Alcotest.test_case "float-hygiene" `Quick test_float_hygiene;
+          Alcotest.test_case "lock-discipline" `Quick test_lock_discipline;
           Alcotest.test_case "unsafe-ops" `Quick test_unsafe_ops;
           Alcotest.test_case "output-discipline" `Quick test_output_discipline;
           Alcotest.test_case "mli-coverage" `Quick test_mli_coverage;

@@ -154,7 +154,8 @@ let leaks files =
       .Driver.findings
 
 (* One unreleased acquisition per class and directory: a channel and a
-   mutex in lib/ (one in a functor body), a channel in test/. *)
+   mutex (in a functor body) in lib/, a channel in test/.  The other
+   mutex shapes are the [rules lock-discipline] cases. *)
 let test_leak_bare_acquisition () =
   with_ocamlc @@ fun () ->
   let cases =
@@ -163,10 +164,6 @@ let test_leak_bare_acquisition () =
         "let leak path = open_out path\n",
         1,
         "channel acquired by open_out in L.leak is not released" );
-      ( "lib/exec/bare_lock.ml",
-        "let f m = Mutex.lock m\n",
-        1,
-        "mutex acquired by Mutex.lock in Bare_lock.f is not released" );
       ( "lib/exec/functor_lock.ml",
         "module F (X : sig val m : Mutex.t end) = struct\n\
         \  let f () = Mutex.lock X.m\n\
@@ -195,10 +192,9 @@ let test_leak_bare_acquisition () =
             (List.length fs))
     cases
 
-(* Every release shape the tree uses is clean, the lock-then-
-   [Fun.protect ~finally:unlock] one included.  A lone [Mutex.unlock]
-   acquires nothing and so has no case here (DESIGN.md, "Retired
-   per-file rules"). *)
+(* A channel released by [Fun.protect] or a [with_open_*] is clean, in
+   lib/ and test/; the mutex release shapes are the
+   [rules lock-discipline] cases. *)
 let test_leak_protected_release () =
   with_ocamlc @@ fun () ->
   let findings =
@@ -210,11 +206,6 @@ let test_leak_protected_release () =
           \  Fun.protect\n\
           \    ~finally:(fun () -> close_out_noerr oc)\n\
           \    (fun () -> output_string oc \"x\")\n" );
-        ("lib/exec/protected.ml", "let f m g = Mutex.protect m g\n");
-        ( "lib/exec/guarded.ml",
-          "let f m g =\n\
-          \  Mutex.lock m;\n\
-          \  Fun.protect ~finally:(fun () -> Mutex.unlock m) g\n" );
         ( "test/t.ml",
           "let first path = In_channel.with_open_text path input_line\n" );
       ]
